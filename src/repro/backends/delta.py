@@ -61,6 +61,9 @@ class DeltaPlanCache:
     *is* the materialized state, so sharing it across evaluators of the
     same spec and stores shares the maintenance work too (a second
     refresh in the same step sees an empty journal delta and is free).
+    The decoded candidates live with the plan for the same reason: a
+    result row becomes a :class:`~repro.model.request.Request` once per
+    stay in the result, whichever evaluator read it first.
     """
 
     def __init__(self, capacity: int = 32) -> None:
@@ -85,6 +88,7 @@ class DeltaPlanCache:
         self.misses += 1
         built = _spec_builder(spec)(requests, history)
         plan = lower_delta_plan(built)
+        plan.decode_with(Request.from_row)
         self._entries[key] = (spec, requests, history, plan)
         while len(self._entries) > self._capacity:
             self._entries.pop(next(iter(self._entries)))
@@ -146,7 +150,7 @@ class DeltaPlanEvaluator(SpecEvaluator):
 
     def evaluate(self, requests: Table, history: Table) -> ProtocolDecision:
         plan, hit = GLOBAL_DELTA_PLANS.get(self._spec, requests, history)
-        relation = plan.refresh()
+        plan.refresh()
         stats = self._stats
         last = plan.last
         stats["steps"] += 1
@@ -159,9 +163,7 @@ class DeltaPlanEvaluator(SpecEvaluator):
         for label, seconds in last.get("operator_s", {}).items():
             operator_s[label] = operator_s.get(label, 0.0) + seconds
         self._last = dict(last)
-        return ProtocolDecision(
-            qualified=[Request.from_row(row) for row in relation.rows]
-        )
+        return ProtocolDecision(qualified=plan.decoded_rows())
 
     def reset(self) -> None:
         GLOBAL_DELTA_PLANS.evict_spec(self._spec)

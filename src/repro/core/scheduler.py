@@ -397,11 +397,7 @@ class DeclarativeScheduler:
         self.pending.remove(qualified)
         self.history.record_batch(qualified)
         self.protocol.observe_executed(qualified)
-        if self.config.prune_history:
-            pruned = self.history.finished_transactions
-            self.history.prune_finished()
-            if pruned:
-                self.protocol.observe_pruned(pruned)
+        self.prune_history()
 
         self.steps_run += 1
         self.total_query_seconds += query_seconds
@@ -460,6 +456,14 @@ class DeclarativeScheduler:
         for hook in self.step_hooks:
             hook(result)
         return result
+
+    def prune_history(self) -> None:
+        """Drop the history rows of finished transactions (when the
+        config prunes at all) and tell the protocol which ones went."""
+        if self.config.prune_history:
+            pruned = self.history.prune_finished()
+            if pruned:
+                self.protocol.observe_pruned(pruned)
 
     # -- recovery internals ------------------------------------------------------
 
@@ -557,11 +561,7 @@ class DeclarativeScheduler:
         )
         self.history.record_batch([abort])
         self.protocol.observe_executed([abort])
-        if self.config.prune_history:
-            pruned = self.history.finished_transactions
-            self.history.prune_finished()
-            if pruned:
-                self.protocol.observe_pruned(pruned)
+        self.prune_history()
         self._pending_since.pop(ta, None)
         self._client_of_ta.pop(ta, None)
         self._arrival_of_ta.pop(ta, None)

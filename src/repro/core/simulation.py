@@ -651,11 +651,7 @@ class MiddlewareSimulation:
             )
             scheduler.history.record_batch([abort])
             scheduler.protocol.observe_executed([abort])
-            if scheduler.config.prune_history:
-                pruned = scheduler.history.finished_transactions
-                scheduler.history.prune_finished()
-                if pruned:
-                    scheduler.protocol.observe_pruned(pruned)
+            scheduler.prune_history()
             if monitor is not None:
                 monitor.note_terminal(doomed_ids, "aborted", sim.now)
                 monitor.note_dispatch(sim.now, abort)

@@ -9,6 +9,7 @@ qualified rows into full :class:`~repro.model.request.Request` objects.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Optional
 
 from repro.model.request import Request, RequestAttributes, TransactionStatus
@@ -44,8 +45,8 @@ class PendingStore:
         return count
 
     def remove(self, requests: Iterable[Request]) -> int:
-        rows = [r.as_row() for r in requests]
-        removed = self.table.delete_rows(rows)
+        requests = list(requests)  # iterated twice; may be a generator
+        removed = self.table.delete_rows([r.as_row() for r in requests])
         for request in requests:
             self.table.attrs_by_id.pop(request.id, None)
         return removed
@@ -59,8 +60,6 @@ class PendingStore:
         attrs = self.table.attrs_by_id.get(request.id)
         if attrs is None:
             return request
-        import dataclasses
-
         return dataclasses.replace(request, attrs=attrs)
 
     def __len__(self) -> int:
@@ -116,26 +115,20 @@ class HistoryStore:
             if status is not TransactionStatus.ACTIVE
         }
 
-    def prune_finished(self) -> int:
-        """Drop rows of committed/aborted transactions."""
-        finished = {
-            ta
-            for ta, status in self._status.items()
-            if status is not TransactionStatus.ACTIVE
-        }
-        if not finished:
-            return 0
-        ta_pos = self.table.schema.resolve("ta")
-        id_pos = self.table.schema.resolve("id")
-        doomed_ids = [
-            row[id_pos] for row in self.table.rows if row[ta_pos] in finished
-        ]
-        removed = self.table.delete_where(lambda row: row[ta_pos] in finished)
-        for request_id in doomed_ids:
-            self.table.attrs_by_id.pop(request_id, None)
-        for ta in finished:
-            del self._status[ta]
-        return removed
+    def prune_finished(self) -> set[int]:
+        """Drop rows of committed/aborted transactions; returns the
+        transactions dropped."""
+        finished = self.finished_transactions
+        if finished:
+            by_ta = self.table.index_on("ta")
+            ta_pos = self.table.schema.resolve("ta")
+            id_pos = self.table.schema.resolve("id")
+            for ta in finished:
+                for row in by_ta.lookup((ta,)):
+                    self.table.attrs_by_id.pop(row[id_pos], None)
+                del self._status[ta]
+            self.table.delete_where(lambda row: row[ta_pos] in finished)
+        return finished
 
     def __len__(self) -> int:
         return len(self.table)

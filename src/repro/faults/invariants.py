@@ -33,6 +33,40 @@ from repro.workload.traces import Trace, write_trace_file
 #: Terminal lifecycle states (invariant 2 asserts exactly one of these).
 TERMINAL_STATES = ("granted", "aborted", "shed")
 
+#: Dispatches the violation trace retains: the last this many, with
+#: :attr:`Trace.offset` counting the ones dropped before them.
+TRACE_WINDOW = 4096
+
+_CHUNK_BITS = 8
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+_FULL_CHUNK = (1 << (1 << _CHUNK_BITS)) - 1
+
+
+class CompactIdSet:
+    """An exact, add-only set of integers as a chunked bitmap.
+
+    Ids are grouped 256 to a chunk and each chunk is one Python int
+    used as a bitmap; all full chunks share one int object.  The dense
+    ids that the generators, the serve layer and the shard facade
+    assign therefore cost a few bits each, and a sparse or negative id
+    costs a chunk of its own — a dict entry, like the per-id state
+    entry it replaces.
+    """
+
+    __slots__ = ("_chunks",)
+
+    def __init__(self) -> None:
+        self._chunks: Dict[int, int] = {}
+
+    def add(self, value: int) -> None:
+        chunk = value >> _CHUNK_BITS
+        bits = self._chunks.get(chunk, 0) | (1 << (value & _CHUNK_MASK))
+        self._chunks[chunk] = _FULL_CHUNK if bits == _FULL_CHUNK else bits
+
+    def __contains__(self, value: int) -> bool:
+        bits = self._chunks.get(value >> _CHUNK_BITS)
+        return bits is not None and bool(bits >> (value & _CHUNK_MASK) & 1)
+
 
 class InvariantViolation(AssertionError):
     """A broken scheduler safety invariant, with replay context.
@@ -79,8 +113,11 @@ class InvariantViolation(AssertionError):
         """Persist the violation's dispatch log as a repro-trace file.
 
         The header carries the attached scenario context plus
-        ``prefix: true``, so ``repro scenario replay`` re-runs the
-        scenario and verifies the recorded prefix byte-for-byte.  The
+        ``prefix: true`` and the trace's ``offset``, so ``repro
+        scenario replay`` re-runs the scenario and verifies the
+        recorded dispatches byte-for-byte against the same stretch of
+        the produced log — a prefix, unless the monitor's bounded
+        window had already forgotten the oldest dispatches.  The
         trace label defaults to the attached cell label, so the replay
         compares against the right cell's dispatch log."""
         if label is None:
@@ -93,6 +130,9 @@ class InvariantViolation(AssertionError):
             "violation_step": self.step,
         }
         header.update(self.context)
+        # Where the retained window starts in the cell's full dispatch
+        # log, so the replay compares it against the right slice.
+        header["offset"] = self.trace.offset
         return write_trace_file(path, [(label, self.trace)], header=header)
 
 
@@ -137,23 +177,30 @@ class InvariantMonitor:
         #: interval can slip through.  Benchmarks use a cadence so the
         #: O(history) scan does not dominate the timed region.
         self.conflict_interval = conflict_interval
+        #: The last :data:`TRACE_WINDOW` dispatches; ``trace.offset``
+        #: counts the earlier ones already forgotten.
         self.trace = Trace()
         self.checks_run = 0
         self.violations = 0
-        #: request id -> lifecycle state ("pending" | "dropped" | terminal).
+        # Retained state is O(live): a request or transaction that has
+        # ended leaves one bit in a CompactIdSet (so a second ending is
+        # still caught, however much later) and a tick in a counter.
+        #: live request id -> "pending" | "dropped".
         self._state: Dict[int, str] = {}
-        #: ta -> highest dispatched intrata.
+        self._terminal_ids = CompactIdSet()
+        #: terminal state -> requests that ended in it.
+        self._terminal_counts: Dict[str, int] = {}
+        #: live ta -> highest dispatched intrata.
         self._last_intrata: Dict[int, int] = {}
+        self._finished_tas = CompactIdSet()
 
     # -- lifecycle notifications ------------------------------------------
 
     def note_submitted(self, request: Request, now: float = 0.0) -> None:
-        previous = self._state.get(request.id)
-        if previous in TERMINAL_STATES:
+        if request.id in self._terminal_ids:
             self._fail(
                 "double-terminal",
-                f"request {request.id} resubmitted after terminal state "
-                f"{previous!r}",
+                f"request {request.id} resubmitted after a terminal state",
                 now,
             )
         self._state[request.id] = "pending"
@@ -168,20 +215,38 @@ class InvariantMonitor:
         if state not in TERMINAL_STATES:
             raise ValueError(f"unknown terminal state {state!r}")
         for request_id in request_ids:
-            previous = self._state.get(request_id)
-            if previous in TERMINAL_STATES:
+            if request_id in self._terminal_ids:
                 self._fail(
                     "double-terminal",
-                    f"request {request_id} reached {state!r} after already "
-                    f"terminal {previous!r}",
+                    f"request {request_id} reached {state!r} after an "
+                    f"earlier terminal state",
                     now,
                 )
-            self._state[request_id] = state
+            self._state.pop(request_id, None)
+            self._end_request(request_id, state)
 
     def note_dispatch(self, now: float, request: Request) -> None:
         """Record one dispatched/synthesized request into the violation
-        trace (the replayable context of any later violation)."""
-        self.trace.record(now, request)
+        trace (the replayable context of any later violation); a
+        termination also ends its transaction's program-order mark."""
+        self._record(now, request)
+        if request.operation.is_termination:
+            self._end_transaction(request.ta)
+
+    def _record(self, now: float, request: Request) -> None:
+        trace = self.trace
+        trace.record(now, request)
+        if len(trace.entries) >= 2 * TRACE_WINDOW:
+            trace.trim(TRACE_WINDOW)
+
+    def _end_request(self, request_id: int, state: str) -> None:
+        self._terminal_ids.add(request_id)
+        counts = self._terminal_counts
+        counts[state] = counts.get(state, 0) + 1
+
+    def _end_transaction(self, ta: int) -> None:
+        self._last_intrata.pop(ta, None)
+        self._finished_tas.add(ta)
 
     # -- per-step checking -------------------------------------------------
 
@@ -191,34 +256,46 @@ class InvariantMonitor:
         self.checks_run += 1
         step = scheduler.steps_run
         for request in result.qualified:
-            self.note_dispatch(now, request)
-            previous = self._state.get(request.id)
-            if previous in TERMINAL_STATES:
-                self._fail(
-                    "double-terminal",
-                    f"request {request.id} granted after terminal "
-                    f"{previous!r}",
-                    now,
-                    step,
-                )
-            if previous is None:
+            self._record(now, request)
+            if self._state.pop(request.id, None) is None:
+                if request.id in self._terminal_ids:
+                    self._fail(
+                        "double-terminal",
+                        f"request {request.id} granted after a terminal "
+                        f"state",
+                        now,
+                        step,
+                    )
                 self._fail(
                     "lost-request",
                     f"request {request.id} granted but never submitted",
                     now,
                     step,
                 )
-            self._state[request.id] = "granted"
-            last = self._last_intrata.get(request.ta)
-            if last is not None and request.intrata <= last:
+            self._end_request(request.id, "granted")
+            ta = request.ta
+            last = self._last_intrata.get(ta)
+            if last is None:
+                if ta in self._finished_tas:
+                    self._fail(
+                        "non-monotonic-batch",
+                        f"ta {ta} dispatched intrata {request.intrata} "
+                        f"after its termination",
+                        now,
+                        step,
+                    )
+            elif request.intrata <= last:
                 self._fail(
                     "non-monotonic-batch",
-                    f"ta {request.ta} dispatched intrata {request.intrata} "
+                    f"ta {ta} dispatched intrata {request.intrata} "
                     f"after {last}",
                     now,
                     step,
                 )
-            self._last_intrata[request.ta] = request.intrata
+            if request.operation.is_termination:
+                self._end_transaction(ta)
+            else:
+                self._last_intrata[ta] = request.intrata
         if step % self.conflict_interval == 0:
             self._check_conflicting_grants(scheduler, now, step)
 
@@ -277,11 +354,9 @@ class InvariantMonitor:
         scheduler nor accounted for by the driver was *lost*.  Returns
         a state -> count summary."""
         self.checks_run += 1
-        counts: Dict[str, int] = {}
+        counts = dict(self._terminal_counts)
         for request_id, state in self._state.items():
             counts[state] = counts.get(state, 0) + 1
-            if state in TERMINAL_STATES:
-                continue
             if request_id not in live_ids:
                 self._fail(
                     "lost-request",
@@ -291,12 +366,9 @@ class InvariantMonitor:
                 )
         return counts
 
-    def states(self) -> Dict[int, str]:
-        """Snapshot of every observed request's lifecycle state."""
-        return dict(self._state)
-
     def _fail(
         self, kind: str, detail: str, now: float, step: int = 0
     ) -> None:
         self.violations += 1
+        self.trace.trim(TRACE_WINDOW)
         raise InvariantViolation(kind, detail, now=now, step=step, trace=self.trace)

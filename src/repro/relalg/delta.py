@@ -68,7 +68,7 @@ from repro.relalg.query import (
 )
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Column, Schema
-from repro.relalg.table import Table
+from repro.relalg.table import Table, row_projector
 
 #: A signed multiset of rows: +n inserts, -n retracts.  Zero-count
 #: entries are never stored.
@@ -140,15 +140,6 @@ def _key_of(positions: Sequence[int]) -> Callable[[tuple], Any]:
         return lambda row: ()
     if len(positions) == 1:
         return operator.itemgetter(positions[0])
-    return operator.itemgetter(*positions)
-
-
-def _row_projector(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda row: (row[p],)
-    if not positions:
-        return lambda row: ()
     return operator.itemgetter(*positions)
 
 
@@ -236,7 +227,7 @@ class DProject(DeltaNode):
 
     def __init__(self, schema: Schema, positions: Sequence[int]) -> None:
         self.schema = schema
-        self.projector = _row_projector(positions)
+        self.projector = row_projector(positions)
 
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
         projector = self.projector
@@ -777,20 +768,34 @@ class DUncorrelatedExists(DeltaNode):
 
 
 class DMaterialize(DeltaNode):
-    """The plan root: accumulates the maintained result multiset."""
+    """The plan root: accumulates the maintained result multiset.
+
+    With a :attr:`decode` callable attached (:meth:`DeltaPlan.decode_with`)
+    :meth:`decoded_rows` serves the result as decoded objects.  A row is
+    decoded the first time it is read after entering the result, and
+    ``decoded`` forgets it the moment its multiplicity returns to zero,
+    so a consumer that turns result rows into objects every step pays
+    per *changed* row, like every other operator, and a row that left
+    and came back is decoded afresh.
+    """
 
     label = "materialize"
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self.out: dict = {}
+        self.decode: Optional[Callable[[tuple], Any]] = None
+        self.decoded: dict = {}
 
     def reset(self) -> None:
         self.out = {}
+        self.decoded = {}
 
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
         for row, c in (slots[0] or {}).items():
-            _bump(self.out, row, c)
+            __, new = _bump(self.out, row, c)
+            if not new:
+                self.decoded.pop(row, None)
         return {}
 
     def rows(self) -> list[tuple]:
@@ -801,6 +806,19 @@ class DMaterialize(DeltaNode):
             else:
                 rows.extend([row] * count)
         return rows
+
+    def decoded_rows(self) -> list:
+        decoded = self.decoded
+        objects: list = []
+        for row, count in self.out.items():
+            obj = decoded.get(row)
+            if obj is None:
+                obj = decoded[row] = self.decode(row)
+            if count == 1:
+                objects.append(obj)
+            else:
+                objects.extend([obj] * count)
+        return objects
 
 
 # -- lowering -----------------------------------------------------------------
@@ -1210,6 +1228,21 @@ class DeltaPlan:
 
     def rows(self) -> list[tuple]:
         return self.materialized.rows()
+
+    def decode_with(self, decode: Callable[[tuple], Any]) -> None:
+        """Attach the row decoder behind :meth:`decoded_rows`.
+
+        Each decoded object is shared by every caller until its row
+        leaves the result, so *decode* must build values that are safe
+        to share (immutable) and never ``None``.
+        """
+        self.materialized.decode = decode
+        self.materialized.decoded = {}
+
+    def decoded_rows(self) -> list:
+        """The maintained result as decoded objects, in :meth:`rows`
+        order: a fresh list of the shared objects."""
+        return self.materialized.decoded_rows()
 
     def explain(self) -> str:
         lines = []

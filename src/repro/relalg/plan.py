@@ -69,7 +69,7 @@ from repro.relalg import operators as _ops
 from repro.relalg.operators import _AGGREGATES, _split
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Column, Schema
-from repro.relalg.table import Table
+from repro.relalg.table import Table, row_projector
 
 
 class ExecContext:
@@ -94,16 +94,6 @@ def _key_fn(positions: Sequence[int], scalar: bool) -> Callable[[tuple], Any]:
     if len(positions) == 1:
         p = positions[0]
         return lambda row: (row[p],)
-    return operator.itemgetter(*positions)
-
-
-def _row_projector(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Tuple-producing projector (itemgetter except for arity 1/0)."""
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda row: (row[p],)
-    if not positions:
-        return lambda row: ()
     return operator.itemgetter(*positions)
 
 
@@ -236,7 +226,7 @@ class PProject(PhysicalNode):
             child.schema.resolve(*_split(name)) for name in columns
         )
         self.schema = Schema([Column(_split(name)[0]) for name in columns])
-        self.projector = _row_projector(self.positions)
+        self.projector = row_projector(self.positions)
 
     def rows(self, ctx: ExecContext) -> list[tuple]:
         projector = self.projector

@@ -9,6 +9,7 @@ and maintain optional hash indexes used by index-nested-loop joins.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -50,17 +51,26 @@ class DeltaCursor:
         return self.table._take_since(self)
 
 
+def row_projector(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Tuple-producing projector (itemgetter except for arity 1/0)."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda row: (row[p],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
 class HashIndex:
     """Equality hash index over one or more columns of a table."""
 
-    __slots__ = ("positions", "buckets")
+    __slots__ = ("positions", "buckets", "key_of")
 
     def __init__(self, positions: Sequence[int]) -> None:
         self.positions = tuple(positions)
         self.buckets: dict[tuple, list[tuple]] = {}
-
-    def key_of(self, row: tuple) -> tuple:
-        return tuple(row[p] for p in self.positions)
+        #: row -> its key in ``buckets`` (always a tuple).
+        self.key_of = row_projector(self.positions)
 
     def add(self, row: tuple) -> None:
         self.buckets.setdefault(self.key_of(row), []).append(row)
@@ -161,7 +171,7 @@ class Table:
             if self._log_enabled:
                 self._log.extend((False, row) for row in removed)
                 self._maybe_compact_log()
-            self._reindex()
+            self._unindex(removed)
         return len(removed)
 
     def delete_rows(self, rows: Iterable[tuple]) -> int:
@@ -172,22 +182,21 @@ class Table:
         if not to_remove:
             return 0
         kept: list[tuple] = []
-        removed = 0
+        removed: list[tuple] = []
         for row in self._rows:
             pending = to_remove.get(row, 0)
             if pending > 0:
                 to_remove[row] = pending - 1
-                removed += 1
-                if self._log_enabled:
-                    self._log.append((False, row))
+                removed.append(row)
             else:
                 kept.append(row)
         if removed:
             self._rows = kept
-            self._reindex()
+            self._unindex(removed)
             if self._log_enabled:
+                self._log.extend((False, row) for row in removed)
                 self._maybe_compact_log()
-        return removed
+        return len(removed)
 
     def clear(self) -> None:
         self._rows.clear()
@@ -359,11 +368,16 @@ class Table:
             if tuple(row[p] for p in positions) == key_t
         ]
 
-    def _reindex(self) -> None:
+    def _unindex(self, removed: Sequence[tuple]) -> None:
+        # Deletes cost what was deleted: each index drops exactly the
+        # removed rows from their buckets.  ``removed`` is in table
+        # order and a bucket drops its first equal copy, so surviving
+        # rows keep insertion order inside every bucket; the
+        # ``buckets`` dict itself is mutated in place because compiled
+        # plans hold it live (``repro.relalg.plan._IndexBuild``).
         for index in self._indexes.values():
-            index.clear()
-            for row in self._rows:
-                index.add(row)
+            for row in removed:
+                index.remove(row)
 
     # -- reading ----------------------------------------------------------
 

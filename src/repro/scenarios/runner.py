@@ -234,13 +234,17 @@ def replay_scenario(path) -> ReplayOutcome:
     entry-by-entry against the recorded one.
 
     Trace files whose header carries ``prefix: true`` (invariant-
-    violation traces, cut off at the failing step) are verified as a
-    *prefix* of the produced log instead of requiring full equality."""
+    violation traces, cut off at the failing step) are verified against
+    the stretch of the produced log that starts at the header's
+    ``offset`` (0, a true prefix, unless the monitor's bounded window
+    had dropped the oldest dispatches) instead of requiring full
+    equality."""
     header, recorded = read_trace_file(path)
     name = header.get("scenario")
     if not name:
         raise ValueError(f"trace {path} has no scenario in its header")
     prefix = bool(header.get("prefix"))
+    offset = int(header.get("offset", 0)) if prefix else 0
     spec = get_scenario(name)
     outcome = run_scenario(
         spec,
@@ -287,10 +291,10 @@ def replay_scenario(path) -> ReplayOutcome:
         want = canonical_entries(trace)
         got = canonical_entries(produced[label])
         if prefix:
-            got = got[: len(want)]
+            got = got[offset : offset + len(want)]
         if want != got:
             detail = f"{len(want)} vs {len(got)} entries"
-            for index, (a, b) in enumerate(zip(want, got)):
+            for index, (a, b) in enumerate(zip(want, got), start=offset):
                 if a != b:
                     detail = f"first divergence at entry {index}: {a} != {b}"
                     break

@@ -18,12 +18,25 @@ from repro.model.request import Operation, Request, RequestAttributes
 
 @dataclass
 class Trace:
-    """An executed-statement log with timestamps."""
+    """An executed-statement log with timestamps.
+
+    ``offset`` is the absolute position of ``entries[0]`` in the log as
+    it was recorded: non-zero once :meth:`trim` has dropped a prefix
+    (the invariant monitor keeps only a bounded window).
+    """
 
     entries: list[tuple[float, Request]] = field(default_factory=list)
+    offset: int = 0
 
     def record(self, time: float, request: Request) -> None:
         self.entries.append((time, request))
+
+    def trim(self, keep: int) -> None:
+        """Forget all but the last *keep* entries."""
+        drop = len(self.entries) - keep
+        if drop > 0:
+            del self.entries[:drop]
+            self.offset += drop
 
     @property
     def requests(self) -> list[Request]:

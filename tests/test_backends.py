@@ -1,5 +1,7 @@
 """The backend registry and the SpecProtocol adapter."""
 
+import random
+
 import pytest
 
 from repro.backends import (
@@ -22,6 +24,7 @@ from repro.protocols.spec import (
 from tests.conftest import (
     empty_history_table,
     empty_requests_table,
+    random_scheduling_instance,
     request,
 )
 
@@ -90,6 +93,54 @@ class TestSpecProtocolAdapter:
             DeclarativeScheduler.for_spec("ss2pl", "bogus")
         with pytest.raises(KeyError):
             DeclarativeScheduler.for_spec("bogus")
+
+
+class TestSharedDeltaPlan:
+    """Two compiled-delta protocols bound to one spec and one pair of
+    stores share one maintained plan — and its decoded candidates."""
+
+    @pytest.mark.parametrize("second_goes_first", [False, True])
+    def test_same_step_evaluations_agree_with_compiled(self, second_goes_first):
+        rng = random.Random(7)
+        requests, history = random_scheduling_instance(rng, pending=12)
+        first = build_protocol("ss2pl", "compiled-delta")
+        second = build_protocol("ss2pl", "compiled-delta")
+        reference = build_protocol("ss2pl", "compiled")
+        order = (second, first) if second_goes_first else (first, second)
+        next_id = 1_000
+        try:
+            for step in range(40):
+                if step == 20:
+                    # Dropping the shared plan mid-run must leave
+                    # nothing stale behind for either evaluator.
+                    first.reset()
+                leader, follower = (
+                    d.qualified
+                    for d in [p.schedule(requests, history) for p in order]
+                )
+                want = reference.schedule(requests, history).qualified
+                assert leader == follower == want, f"step {step}"
+                # One plan: the follower's refresh saw an empty delta.
+                assert order[1].maintenance_stats()["last"]["inserts"] == 0
+                # Dispatch the batch the way the scheduler does, let
+                # most of the granted transactions commit (releasing
+                # their locks), and admit new arrivals.
+                rows = [r.as_row() for r in want]
+                requests.delete_rows(rows)
+                history.insert_many(rows)
+                for r in want:
+                    if rng.random() < 0.6:
+                        next_id += 1
+                        history.insert((next_id, r.ta, r.intrata + 1, "c", -1))
+                for __ in range(rng.randrange(4)):
+                    next_id += 1
+                    requests.insert(
+                        (next_id, next_id, 0, rng.choice("rw"), rng.randrange(30))
+                    )
+            hits = second.maintenance_stats()["cache_hits"]
+            assert hits >= 38  # at most one miss per plan built
+        finally:
+            first.reset()
 
 
 class TestCustomSpec:

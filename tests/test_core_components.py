@@ -99,6 +99,13 @@ class TestPendingStore:
         assert store.remove([requests[0]]) == 1
         assert len(store) == 1
 
+    def test_remove_accepts_a_generator(self):
+        store = PendingStore()
+        requests = [request(1, 1, 0, "r", 5), request(2, 2, 0, "w", 6)]
+        store.insert_batch(requests)
+        assert store.remove(r for r in requests) == 2
+        assert store.table.attrs_by_id == {}  # the side-car went too
+
     def test_attrs_rehydration(self):
         store = PendingStore()
         original = Request(
@@ -146,15 +153,16 @@ class TestHistoryStore:
                 request(3, 2, 0, "w", 6),
             ]
         )
-        removed = store.prune_finished()
-        assert removed == 2
+        pruned = store.prune_finished()
+        assert pruned == {1}
         assert len(store) == 1
         assert store.active_transactions == {2}
+        assert set(store.table.attrs_by_id) == {3}
 
     def test_prune_noop(self):
         store = HistoryStore()
         store.record_batch([request(1, 1, 0, "w", 5)])
-        assert store.prune_finished() == 0
+        assert store.prune_finished() == set()
 
     def test_total_recorded_monotonic(self):
         store = HistoryStore()

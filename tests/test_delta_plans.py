@@ -45,6 +45,10 @@ def _random_row(rng: random.Random) -> tuple:
     )
 
 
+def _decode(row: tuple) -> tuple:
+    return ("decoded", row)
+
+
 def _mutate(rng: random.Random, tables: list[Table]) -> None:
     table = rng.choice(tables)
     action = rng.random()
@@ -66,11 +70,14 @@ def assert_incremental_matches(
     must equal a fresh interpreted execution as a multiset."""
     rng = random.Random(seed)
     plan = lower_delta_plan(make_query())
+    plan.decode_with(_decode)
     for step in range(steps):
         _mutate(rng, tables)
         got = Counter(plan.refresh().rows)
         want = Counter(make_query().execute().rows)
         assert got == want, f"divergence after mutation {step}"
+        # The decode-once view is the same multiset, row for row.
+        assert plan.decoded_rows() == [_decode(row) for row in plan.rows()]
     # The whole run must have been pure delta maintenance: one rebuild
     # (the initial seeding), never a fallback recomputation.
     assert plan.stats["rebuilds"] == 1
@@ -298,6 +305,80 @@ class TestLoweringRefusals:
         )
         with pytest.raises(DeltaLoweringError):
             lower_delta_plan(query)
+
+
+class TestDecodeOnce:
+    """``decoded_rows`` builds each result row's object once per stay
+    in the result and drops it exactly when the row leaves."""
+
+    @pytest.fixture
+    def writes(self, requests):
+        plan = lower_delta_plan(
+            Query.from_(requests, "r")
+            .where(col("r.operation") == lit("w"))
+            .select("r.id", "r.object")
+        )
+        calls = []
+
+        def decode(row):
+            calls.append(row)
+            return ["decoded", row]  # a list: identity is observable
+
+        plan.decode_with(decode)
+        return plan, calls
+
+    def test_read_twice_decodes_once(self, requests, writes):
+        plan, calls = writes
+        requests.insert((1, 1, 0, "w", 5))
+        requests.insert((2, 1, 1, "r", 6))
+        plan.refresh()
+        first = plan.decoded_rows()
+        plan.refresh()
+        again = plan.decoded_rows()
+        assert first == [["decoded", (1, 5)]]
+        assert again[0] is first[0] and again is not first
+        assert calls == [(1, 5)]
+
+    def test_row_that_leaves_and_reenters_is_decoded_afresh(self, requests, writes):
+        plan, calls = writes
+        requests.insert((1, 1, 0, "w", 5))
+        plan.refresh()
+        (before,) = plan.decoded_rows()
+        requests.delete_rows([(1, 1, 0, "w", 5)])
+        plan.refresh()
+        assert plan.decoded_rows() == []
+        assert plan.materialized.decoded == {}
+        requests.insert((1, 1, 0, "w", 5))
+        plan.refresh()
+        (after,) = plan.decoded_rows()
+        assert after == before and after is not before
+        assert calls == [(1, 5), (1, 5)]
+
+    def test_duplicates_share_one_decoded_object(self, requests, writes):
+        plan, calls = writes
+        requests.insert_many([(1, 1, 0, "w", 5), (1, 2, 0, "w", 5)])
+        plan.refresh()
+        one, two = plan.decoded_rows()
+        assert one is two and calls == [(1, 5)]
+        requests.delete_rows([(1, 1, 0, "w", 5)])  # 2 -> 1: still there
+        plan.refresh()
+        assert plan.decoded_rows() == [one] and calls == [(1, 5)]
+
+    def test_rebuild_serves_nothing_stale(self, requests, writes):
+        plan, calls = writes
+        requests.insert_many([(1, 1, 0, "w", 5), (2, 2, 0, "w", 6)])
+        plan.refresh()
+        stale = plan.decoded_rows()
+        # A retraction of a row the state never held is an impossible
+        # transition: maintenance raises DeltaStateError and rebuilds.
+        requests.delete_rows([(1, 1, 0, "w", 5)])
+        requests._log.append((False, (9, 9, 0, "w", 9)))
+        plan.refresh()
+        assert plan.last["rebuild"] and plan.stats["rebuilds"] == 2
+        fresh = plan.decoded_rows()
+        assert fresh == [["decoded", (2, 6)]]
+        assert all(obj is not old for obj in fresh for old in stale)
+        assert set(plan.materialized.decoded) == {(2, 6)}
 
 
 class TestJournalStaysBounded:

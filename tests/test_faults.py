@@ -26,6 +26,7 @@ from repro.faults import (
     stall,
     step_exception,
 )
+from repro.faults.invariants import TRACE_WINDOW
 from repro.model.request import (
     NO_OBJECT,
     Operation,
@@ -467,6 +468,143 @@ class TestInvariantMonitor:
         assert [label for label, __ in traces] == ["ss2pl"]
 
 
+class _Steps:
+    """The slice of a scheduler a lock-model-less monitor looks at."""
+
+    steps_run = 0
+
+
+class _Batch:
+    def __init__(self, qualified):
+        self.qualified = qualified
+
+
+#: Requests the soak drives through one bare monitor.
+SOAK_REQUESTS = 200_000
+#: Transactions open at any moment during the soak.
+SOAK_OPEN = 32
+
+
+@pytest.fixture(scope="module")
+def soaked():
+    """A bare monitor after ``SOAK_REQUESTS`` requests in 9-request
+    transactions (4 reads, 4 writes, a commit; dense ids from 1), with
+    ``SOAK_OPEN`` transactions interleaved a request a step; the last
+    ``SOAK_OPEN`` requests are submitted but never granted.  Returns
+    (monitor, submitted, live ids, peak container sizes)."""
+    monitor = InvariantMonitor()
+    steps = _Steps()
+    next_id, next_ta = 1, 1
+    open_tas = {}  # ta -> next intrata
+    peak = {"state": 0, "intrata": 0, "trace": 0}
+    while next_id <= SOAK_REQUESTS:
+        while len(open_tas) < SOAK_OPEN:
+            open_tas[next_ta] = 0
+            next_ta += 1
+        pending = []
+        for ta, intrata in list(open_tas.items()):
+            op = "c" if intrata == 8 else "rw"[intrata % 2]
+            obj = NO_OBJECT if op == "c" else ta % 50
+            pending.append(request(next_id, ta, intrata, op, obj))
+            monitor.note_submitted(pending[-1])
+            next_id += 1
+            if op == "c":
+                del open_tas[ta]
+            else:
+                open_tas[ta] = intrata + 1
+        if next_id <= SOAK_REQUESTS:
+            steps.steps_run += 1
+            monitor.after_step(steps, _Batch(pending), float(steps.steps_run))
+            pending = []
+        peak["state"] = max(peak["state"], len(monitor._state))
+        peak["intrata"] = max(peak["intrata"], len(monitor._last_intrata))
+        peak["trace"] = max(peak["trace"], len(monitor.trace))
+    assert len(monitor.trace) > TRACE_WINDOW  # the window did slide
+    return monitor, next_id - 1, {r.id for r in pending}, peak
+
+
+class TestMonitorRetainsOnlyLiveState:
+    def test_containers_bounded_by_live_set_and_trace_window(self, soaked):
+        monitor, submitted, live, peak = soaked
+        assert submitted >= SOAK_REQUESTS
+        assert peak["state"] <= SOAK_OPEN
+        assert peak["intrata"] <= SOAK_OPEN
+        assert peak["trace"] < 2 * TRACE_WINDOW
+        assert set(monitor._state) == live
+        assert monitor.trace.offset + len(monitor.trace) == submitted - len(live)
+        # Terminal ids cost bits: a bitmap chunk per 256 dense ids, and
+        # every chunk behind the live edge is one shared object.
+        for ids, count in (
+            (monitor._terminal_ids, submitted),
+            (monitor._finished_tas, submitted // 9),
+        ):
+            chunks = ids._chunks
+            assert len(chunks) <= count // 256 + 1
+            assert len({id(bits) for bits in chunks.values()}) <= 3
+
+    def test_final_check_counts_sum_to_everything_submitted(self, soaked):
+        monitor, submitted, live, __ = soaked
+        counts = monitor.final_check(live_ids=live, now=0.0)
+        assert counts == {"granted": submitted - len(live), "pending": len(live)}
+        assert sum(counts.values()) == submitted
+
+    def test_double_terminal_for_an_id_that_ended_long_ago(self, soaked):
+        monitor = soaked[0]
+        for long_gone in (1, 2, 257, 1_000):
+            with pytest.raises(InvariantViolation) as excinfo:
+                monitor.note_terminal([long_gone], "aborted")
+            assert excinfo.value.kind == "double-terminal"
+        with pytest.raises(InvariantViolation) as excinfo:
+            monitor.note_submitted(request(3, 1, 2, "r", 1))
+        assert excinfo.value.kind == "double-terminal"
+        with pytest.raises(InvariantViolation) as excinfo:
+            monitor.after_step(_Steps(), _Batch([request(4, 1, 3, "w", 1)]), 0.0)
+        assert excinfo.value.kind == "double-terminal"
+
+    def test_dispatch_after_the_transactions_commit(self, soaked):
+        monitor, submitted, __, ___ = soaked
+        # ta 1 committed ~2 x 10^5 requests ago; its program-order mark
+        # is gone, the memory that it ended is not.
+        late = request(submitted + 1, 1, 9, "w", 1)
+        monitor.note_submitted(late)
+        with pytest.raises(InvariantViolation) as excinfo:
+            monitor.after_step(_Steps(), _Batch([late]), 0.0)
+        assert excinfo.value.kind == "non-monotonic-batch"
+
+    def test_dispatch_after_a_scheduler_abort(self):
+        monitor = InvariantMonitor()
+        monitor.note_submitted(request(1, 7, 0, "w", 5))
+        monitor.after_step(_Steps(), _Batch([request(1, 7, 0, "w", 5)]), 0.0)
+        monitor.note_dispatch(0.0, request(-1, 7, 0, "a"))  # synthesized
+        assert 7 not in monitor._last_intrata
+        monitor.note_submitted(request(2, 7, 1, "w", 5))
+        with pytest.raises(InvariantViolation) as excinfo:
+            monitor.after_step(_Steps(), _Batch([request(2, 7, 1, "w", 5)]), 0.0)
+        assert excinfo.value.kind == "non-monotonic-batch"
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [10**12 + 7_919 * k for k in range(500)],  # sparse
+            [-1, -2, -255, -256, -257, -(10**9)],  # scheduler-style negatives
+        ],
+    )
+    def test_sparse_and_negative_ids_stay_exact(self, ids):
+        monitor = InvariantMonitor()
+        for rid in ids:
+            monitor.note_submitted(request(rid, 1, 0, "r", 1))
+        monitor.note_terminal(ids[::2], "shed")
+        for rid in ids[::2]:
+            with pytest.raises(InvariantViolation) as excinfo:
+                monitor.note_terminal([rid], "aborted")
+            assert excinfo.value.kind == "double-terminal"
+        # Neighbours of a terminal id are not terminal.
+        monitor.note_terminal(ids[1::2], "aborted")
+        counts = monitor.final_check(live_ids=set(), now=0.0)
+        assert counts == {"shed": len(ids[::2]), "aborted": len(ids[1::2])}
+        assert len(monitor._terminal_ids._chunks) <= len(ids)
+
+
 # -- faulted closed-loop runs ----------------------------------------------
 
 TINY = WorkloadSpec(reads_per_txn=2, writes_per_txn=2, table_rows=30)
@@ -700,3 +838,46 @@ class TestChaosScenarios:
         outcome = replay_scenario(prefix_path)
         assert outcome.matches, outcome.mismatch
         assert outcome.entries == 10
+
+    def test_violation_past_the_window_replays_at_its_offset(self, tmp_path):
+        # Feed a real scenario's dispatch log (longer than the window)
+        # through a monitor, then trip it: the violation keeps the last
+        # TRACE_WINDOW dispatches and says where they start.
+        from repro.scenarios import record_scenario, replay_scenario
+        from repro.workload.traces import read_trace_file
+
+        full_path = tmp_path / "full.trace"
+        record_scenario(get_scenario("smoke"), full_path, duration=15.0)
+        header, traces = read_trace_file(full_path)
+        label, trace = traces[0]
+        cut = len(trace) - 100  # the violation strikes mid-run
+        assert cut > TRACE_WINDOW + 100
+        monitor = InvariantMonitor()
+        for time, req in trace.entries[:cut]:
+            monitor.note_dispatch(time, req)
+        monitor.note_terminal([1], "granted")
+        with pytest.raises(InvariantViolation) as excinfo:
+            monitor.note_terminal([1], "granted")
+        violation = excinfo.value
+        assert len(violation.trace) == TRACE_WINDOW
+        assert violation.trace.offset == cut - TRACE_WINDOW
+        violation.attach_context(cell=label, **header)
+        window_path = tmp_path / "window.trace"
+        assert violation.write_trace(window_path) == TRACE_WINDOW
+        assert read_trace_file(window_path)[0]["offset"] == cut - TRACE_WINDOW
+        outcome = replay_scenario(window_path)
+        assert outcome.matches, outcome.mismatch
+        assert outcome.entries == TRACE_WINDOW
+
+        # An edited entry inside the window is the first divergence,
+        # reported at its position in the full log.
+        import json
+
+        lines = window_path.read_text().splitlines()
+        edited = json.loads(lines[1 + 40])
+        edited["obj"] += 1
+        lines[1 + 40] = json.dumps(edited, sort_keys=True)
+        window_path.write_text("\n".join(lines) + "\n")
+        outcome = replay_scenario(window_path)
+        assert not outcome.matches
+        assert f"first divergence at entry {cut - TRACE_WINDOW + 40}:" in outcome.mismatch

@@ -1,6 +1,8 @@
 """Table storage, indexes and the catalog."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relalg.table import Catalog, Table, TableError
 
@@ -190,3 +192,71 @@ class TestDeltaJournalLifetime:
         assert history._log_enabled is False
         history.insert((2, 2, 0, "c", -1))
         assert history._log == []
+
+
+# -- deletes maintain the indexes incrementally -------------------------------
+
+INDEXES = (("ta",), ("object",), ("ta", "object"))
+
+_cell = st.integers(0, 2)
+_row = st.tuples(st.integers(0, 3), _cell, _cell)  # few values: duplicates
+_operation = st.one_of(
+    st.tuples(st.just("insert"), _row),
+    st.tuples(st.just("delete_rows"), st.lists(_row, max_size=4)),
+    # delete_where(row[column] == value)
+    st.tuples(st.just("delete_where"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.just("take")),
+)
+
+
+def _fresh_buckets(rows, columns):
+    fresh = Table("t", ["id", "ta", "object"], rows)
+    fresh.create_index(*columns)
+    return fresh.index_on(*columns).buckets
+
+
+class TestDeletesMaintainIndexes:
+    @given(st.lists(_row, max_size=12), st.lists(_operation, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_indexes_rows_and_journal_track_a_list_model(self, initial, script):
+        table = Table("t", ["id", "ta", "object"], initial)
+        for columns in INDEXES:
+            table.create_index(*columns)
+        held = {c: table.index_on(*c).buckets for c in INDEXES}
+        cursor = table.delta_cursor()
+        model = list(initial)  # the table as a plain insertion-ordered list
+        journal = []  # what a rebuild-everything delete would have logged
+        for operation in script:
+            kind = operation[0]
+            if kind == "insert":
+                table.insert(operation[1])
+                model.append(operation[1])
+                journal.append((True, operation[1]))
+            elif kind == "delete_rows":
+                doomed = list(operation[1])
+                kept = []
+                for row in model:
+                    if row in doomed:
+                        doomed.remove(row)
+                        journal.append((False, row))
+                    else:
+                        kept.append(row)
+                assert table.delete_rows(operation[1]) == len(model) - len(kept)
+                model = kept
+            elif kind == "delete_where":
+                __, column, value = operation
+                gone = [row for row in model if row[column] == value]
+                journal.extend((False, row) for row in gone)
+                model = [row for row in model if row[column] != value]
+                assert table.delete_where(lambda r: r[column] == value) == len(gone)
+            else:
+                assert cursor.take() == journal
+                journal = []
+            assert table.rows == model
+            for columns in INDEXES:
+                index = table.index_on(*columns)
+                # Compiled plans hold the buckets dict live.
+                assert index.buckets is held[columns]
+                # Same keys, same rows, same order inside each bucket.
+                assert index.buckets == _fresh_buckets(model, columns)
+        assert cursor.take() == journal

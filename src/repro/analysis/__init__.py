@@ -5,9 +5,9 @@ Two halves behind one report (CLI: ``repro analyze [--strict] [--json]``):
 * the **spec/plan verifier** — schema/type inference over the relalg IR
   (:mod:`repro.analysis.inference`), cross-dialect consistency checks
   and plan lints for every registered spec
-  (:mod:`repro.analysis.speccheck`), and the static delta-lowerability
-  pass that predicts ``compiled-delta`` support without trial-lowering
-  (:mod:`repro.analysis.lowerability`);
+  (:mod:`repro.analysis.speccheck`), and the delta-lowerability
+  diagnostics — the real lowering's own refusals, rule and operator
+  path included (:mod:`repro.analysis.lowerability`);
 * the **repo lint** — an AST pass banning wall-clock, global-RNG and
   set-ordering hazards in the deterministic core and blocking calls in
   serve coroutines (:mod:`repro.analysis.repolint`).
@@ -15,9 +15,8 @@ Two halves behind one report (CLI: ``repro analyze [--strict] [--json]``):
 :func:`run_analysis` is the aggregate entry the CLI and
 :mod:`repro.api` call; the rule catalogue lives in
 :mod:`repro.analysis.diagnostics` and is documented in
-``docs/analysis.md``.  This package imports no execution backend at
-module level — the backends import *it* (lazily) to enrich refusal
-messages.
+``docs/analysis.md``.  Imports run one way: analysis → backends →
+relalg; nothing below imports this package.
 """
 
 from __future__ import annotations
@@ -36,10 +35,11 @@ from repro.analysis.lowerability import (
     explain_refusal,
     predict_delta_lowerability,
     predict_plan_lowerability,
-    predicted_backend_matrix,
 )
 from repro.analysis.repolint import lint_repo, lint_source
 from repro.analysis.speccheck import check_registry, check_spec
+from repro.backends import backend_names, supported_backends
+from repro.protocols.spec import SPEC_REGISTRY
 
 __all__ = [
     "Diagnostic",
@@ -52,7 +52,6 @@ __all__ = [
     "infer_plan",
     "predict_plan_lowerability",
     "predict_delta_lowerability",
-    "predicted_backend_matrix",
     "explain_refusal",
     "check_spec",
     "check_registry",
@@ -67,7 +66,7 @@ class AnalysisReport:
     """Every finding of one full analysis run, plus the support matrix."""
 
     findings: list[Diagnostic] = field(default_factory=list)
-    #: spec -> backend -> statically predicted support (when computed).
+    #: spec -> backend -> the backend's ``supports()`` answer (spec half).
     matrix: dict[str, dict[str, bool]] = field(default_factory=dict)
 
     @property
@@ -92,49 +91,23 @@ class AnalysisReport:
         }
 
 
-def _check_matrix_agreement(
-    matrix: dict[str, dict[str, bool]]
-) -> list[Diagnostic]:
-    """D100 when a static prediction disagrees with a live backend."""
-    from repro.backends.base import BACKEND_REGISTRY
-    from repro.protocols.spec import SPEC_REGISTRY
-
-    findings = []
-    for spec_name, row in matrix.items():
-        spec = SPEC_REGISTRY[spec_name]
-        for backend_name, predicted in row.items():
-            actual = BACKEND_REGISTRY[backend_name]().supports(spec)
-            if actual != predicted:
-                findings.append(
-                    Diagnostic(
-                        "D100",
-                        f"{spec_name} × {backend_name}",
-                        f"static analysis predicts "
-                        f"{'support' if predicted else 'refusal'} but the "
-                        f"backend declares "
-                        f"{'support' if actual else 'refusal'}",
-                        severity="error",
-                    )
-                )
-    return findings
-
-
 def run_analysis(specs: bool = True, repo: bool = True) -> AnalysisReport:
     """Run the selected analysis halves and aggregate their findings.
 
-    The spec half also computes the predicted spec × backend support
-    matrix and cross-checks it against the live backends' ``supports()``
-    answers (rule D100), so ``repro analyze`` catches static/dynamic
-    lowerability drift without waiting for the test suite.
+    The spec half also records the spec × backend support matrix: what
+    each live backend's ``supports()`` answers, which for
+    ``compiled-delta`` is the trial lowering the D1xx rules describe.
     """
     report = AnalysisReport()
     if specs:
-        import repro.backends  # noqa: F401  (registers the backends)
         import repro.protocols  # noqa: F401  (registers the specs)
 
         report.findings.extend(check_registry())
-        report.matrix = predicted_backend_matrix()
-        report.findings.extend(_check_matrix_agreement(report.matrix))
+        for spec_name in sorted(SPEC_REGISTRY):
+            supported = supported_backends(SPEC_REGISTRY[spec_name])
+            report.matrix[spec_name] = {
+                name: name in supported for name in backend_names()
+            }
     if repo:
         report.findings.extend(lint_repo())
     return report

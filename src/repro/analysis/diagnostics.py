@@ -10,9 +10,9 @@ message text — are the stable interface (see ``docs/analysis.md``).
 
 Severity semantics: ``error`` findings always fail ``repro analyze``;
 ``warning`` findings fail only under ``--strict``; ``info`` entries
-(the D1xx lowerability refusal reasons) never fail — they *explain* a
-static prediction rather than flag a defect, and surface inside
-refusal messages and the matrix report.
+(the D1xx lowerability refusal reasons) never fail — they *explain*
+why the delta lowering refused a plan rather than flag a defect, and
+surface inside refusal messages.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ RULES: dict[str, tuple[str, str]] = {
     "S004": (ERROR, "schema error in a spec dialect"),
     "S005": (ERROR, "statically ill-typed expression in a spec dialect"),
     # -- delta lowerability (D1xx; info = refusal explanations) ----------
-    "D100": (ERROR, "static lowerability disagrees with trial-lowering"),
     "D101": (INFO, "LIMIT is order-dependent and has no delta lowering"),
     "D102": (INFO, "join shape has no delta lowering (keys/predicate)"),
     "D103": (INFO, "operator has no delta lowering"),

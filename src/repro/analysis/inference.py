@@ -8,8 +8,10 @@ walks a :class:`~repro.relalg.query.PlanNode` tree once, statically:
 * it threads a :class:`TypedSchema` — the ordinary
   :class:`~repro.relalg.schema.Schema` plus a per-column type and a
   nullability bit (the padded side of a left join) — bottom-up through
-  every operator, exactly mirroring the schema algebra the executor
-  applies (qualify / concat / project / unqualify / rename);
+  every operator.  The schema half is each node's own
+  :meth:`~repro.relalg.query.PlanNode.derive_schema` (the algebra
+  ``output_schema()`` and the delta lowering also call); only types
+  and nullability are stated here;
 * every column reference is resolved eagerly, turning latent
   :class:`~repro.relalg.schema.SchemaError`\\s into ``S004`` findings
   with the offending operator named;
@@ -47,20 +49,16 @@ from repro.relalg.expressions import (
 from repro.relalg.operators import _AGGREGATES, _split, resolve_sort_keys
 from repro.relalg.query import (
     AggregateNode,
-    CTENode,
-    DistinctNode,
     ExtendNode,
     FilterNode,
     JoinNode,
-    LimitNode,
     OrderByNode,
     PlanNode,
     ProjectNode,
     SetOpNode,
     SourceNode,
-    _AliasNode,
 )
-from repro.relalg.schema import Column, Schema, SchemaError
+from repro.relalg.schema import Schema, SchemaError
 from repro.relalg.table import Table
 
 __all__ = [
@@ -264,8 +262,18 @@ class _Inferencer:
         return typed
 
     def _infer(self, node: PlanNode) -> TypedSchema:
+        """Type one node: its schema is the node's own
+        :meth:`~repro.relalg.query.PlanNode.derive_schema` over the
+        inferred child schemas; this pass adds only the per-column
+        types and nullability, and resolves every reference so a
+        failure is reported and typed ``any`` instead of raised."""
+        inputs = [self.infer(child) for child in node.children()]
+        try:
+            schema = node.derive_schema(*[typed.schema for typed in inputs])
+        except NotImplementedError:
+            # Unknown node: fall back to its own declared schema, untyped.
+            return TypedSchema.untyped(node.output_schema())
         if isinstance(node, SourceNode):
-            schema = node.output_schema()
             names = schema.names
             if isinstance(node.source, Table) and set(names) <= set(
                 TABLE2_TYPES
@@ -273,52 +281,27 @@ class _Inferencer:
                 types = tuple(TABLE2_TYPES[name] for name in names)
                 return TypedSchema(schema, types, (False,) * len(types))
             return TypedSchema.untyped(schema)
-        if isinstance(node, _AliasNode):
-            child = self.infer(node.child)
-            return child.with_schema(child.schema.qualify(node.alias))
-        if isinstance(node, CTENode):
-            return self.infer(node.child)
-        if isinstance(node, FilterNode):
-            child = self.infer(node.child)
-            self.infer_expr(node.predicate, child)
-            return child
         if isinstance(node, ProjectNode):
-            child = self.infer(node.child)
-            columns, types, nullable = [], [], []
-            for name in node.columns:
-                pos = self._resolve(child, name)
-                columns.append(Column(_split(name)[0]))
-                types.append("any" if pos is None else child.types[pos])
-                nullable.append(False if pos is None else child.nullable[pos])
-            return TypedSchema(Schema(columns), tuple(types), tuple(nullable))
+            (child,) = inputs
+            positions = [self._resolve(child, name) for name in node.columns]
+            return TypedSchema(
+                schema,
+                tuple("any" if p is None else child.types[p] for p in positions),
+                tuple(p is not None and child.nullable[p] for p in positions),
+            )
         if isinstance(node, ExtendNode):
-            child = self.infer(node.child)
+            (child,) = inputs
             extended = self.infer_expr(node.expr, child)
             return TypedSchema(
-                Schema(list(child.schema.columns) + [Column(node.name)]),
-                child.types + (extended,),
-                child.nullable + (False,),
+                schema, child.types + (extended,), child.nullable + (False,)
             )
-        if isinstance(node, (DistinctNode,)):
-            return self.infer(node.child)
-        if isinstance(node, OrderByNode):
-            child = self.infer(node.child)
-            try:
-                resolve_sort_keys(child.schema, node.keys)
-            except SchemaError as error:
-                self._report("S004", str(error))
-            return child
-        if isinstance(node, LimitNode):
-            return self.infer(node.child)
         if isinstance(node, AggregateNode):
-            child = self.infer(node.child)
-            columns, types, nullable = [], [], []
+            (child,) = inputs
+            types = []
             for group in node.group_by:
                 pos = self._resolve(child, group)
-                columns.append(Column(_split(group)[0]))
                 types.append("any" if pos is None else child.types[pos])
-                nullable.append(False)
-            for fn_name, input_col, output_name in node.aggregations:
+            for fn_name, input_col, __ in node.aggregations:
                 if fn_name not in _AGGREGATES:
                     self._report("S004", f"unknown aggregate {fn_name!r}")
                     input_type = "any"
@@ -328,18 +311,14 @@ class _Inferencer:
                     pos = self._resolve(child, input_col)
                     input_type = "any" if pos is None else child.types[pos]
                 if fn_name == "count":
-                    out_type = "int"
+                    types.append("int")
                 elif fn_name == "avg":
-                    out_type = "float"
+                    types.append("float")
                 else:  # sum/min/max keep the input type
-                    out_type = input_type
-                columns.append(Column(output_name))
-                types.append(out_type)
-                nullable.append(False)
-            return TypedSchema(Schema(columns), tuple(types), tuple(nullable))
+                    types.append(input_type)
+            return TypedSchema(schema, tuple(types), (False,) * len(types))
         if isinstance(node, SetOpNode):
-            left = self.infer(node.left)
-            right = self.infer(node.right)
+            left, right = inputs
             if left.schema.arity != right.schema.arity:
                 self._report(
                     "S004",
@@ -354,10 +333,9 @@ class _Inferencer:
             nullable = tuple(
                 ln or rn for ln, rn in zip(left.nullable, right.nullable)
             )
-            return TypedSchema(left.schema, types, nullable)
+            return TypedSchema(schema, types, nullable)
         if isinstance(node, JoinNode):
-            left = self.infer(node.left)
-            right = self.infer(node.right)
+            left, right = inputs
             combined = left.concat(
                 right.all_nullable() if node.how == "left" else right
             )
@@ -366,29 +344,17 @@ class _Inferencer:
             if node.how in ("semi", "anti"):
                 return left
             return combined
-        # SQL planner internals are structural wrappers; import lazily to
-        # keep this module off the sql parser unless such nodes appear.
-        from repro.relalg import sql as _sql
-
-        if isinstance(node, _sql._UnqualifyNode):
-            child = self.infer(node.child)
-            return child.with_schema(child.schema.unqualified())
-        if isinstance(node, _sql._RenameColumnsNode):
-            child = self.infer(node.child)
-            renamed = Schema(
-                [
-                    Column(new_name) if new_name else column
-                    for column, new_name in zip(
-                        child.schema.columns, node.renames
-                    )
-                ]
-            )
-            return child.with_schema(renamed)
-        if isinstance(node, _sql._UncorrelatedExistsNode):
-            self.infer(node.right)
-            return self.infer(node.left)
-        # Unknown node: fall back to its own declared schema, untyped.
-        return TypedSchema.untyped(node.output_schema())
+        if isinstance(node, FilterNode):
+            self.infer_expr(node.predicate, inputs[0])
+        elif isinstance(node, OrderByNode):
+            try:
+                resolve_sort_keys(inputs[0].schema, node.keys)
+            except SchemaError as error:
+                self._report("S004", str(error))
+        # Everything else (aliases, CTEs, filters, distinct, order,
+        # limit, the SQL planner's rename wrappers, uncorrelated EXISTS)
+        # keeps its first input's rows: same types, the node's names.
+        return inputs[0].with_schema(schema)
 
 
 def infer_plan(node: PlanNode, subject: str = "<plan>") -> Inference:

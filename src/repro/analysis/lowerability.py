@@ -1,12 +1,11 @@
-"""Static delta-lowerability: predict ``compiled-delta`` support.
+"""Delta-lowerability: why ``compiled-delta`` accepts or refuses a plan.
 
-:class:`~repro.backends.delta.CompiledDeltaBackend` declares support by
-*trial-lowering* each spec at runtime.  This pass predicts the same
-verdict without building a single delta operator: it walks the spec's
-logical plan — after the same ``reduce_outer_joins(optimize_plan(...))``
-rewrite :class:`~repro.relalg.delta.DeltaPlan` applies — and mirrors
-every refusal site of :meth:`repro.relalg.delta._Lowering._lower`
-node for node:
+There is one lowering.  :class:`~repro.relalg.delta._Lowering` is both
+the code that builds the maintained operator DAG and the lowerability
+analysis: every refusal it raises names its rule, and the walk records
+the operator path of whatever went wrong.  This module only converts
+that result — a :class:`~repro.relalg.delta.LoweringRefusal` — into a
+:class:`~repro.analysis.diagnostics.Diagnostic`:
 
 ====  ==============================================================
 D101  ``LIMIT`` (order-dependent, no incremental form)
@@ -15,65 +14,45 @@ D102  unlowerable join shape (key-less outer join, predicate-less
 D103  an operator class with no delta lowering at all
 D104  an unknown aggregate function
 D105  set-operation arity mismatch
-D106  the plan fails to build or resolve against the Table 2 schema
-      (planner errors, unknown columns — anything the dynamic path's
-      broad ``except`` would also catch)
+D106  the plan fails to build, optimize or resolve against the
+      Table 2 schema (planner errors, unknown columns — any exception
+      that is not one of the refusals above, cited by type)
 ====  ==============================================================
 
 Each refusal carries the operator path from the plan root to the
-offending node (``CTE(x) > Join[left](...) > Limit(3)``), which is what
-the enriched :class:`~repro.relalg.delta.DeltaLoweringError` and
-:class:`~repro.backends.base.BackendError` messages cite.
-
-The matrix test asserts :func:`predict_delta_lowerability` agrees with
-dynamic trial-lowering on **every** registered spec, in both
-directions, so the mirror cannot silently drift from the real lowering.
+offending node (``CTE(x) > Join[left](...) > Limit(3)``).  For a spec
+the trial is :func:`repro.backends.delta.trial_lowering` — the same
+memoized call :meth:`CompiledDeltaBackend.supports` answers from and
+its :class:`~repro.backends.base.BackendError` prints — so the static
+verdict *is* the dynamic one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.core.stores import REQUEST_COLUMNS
-from repro.protocols.spec import SPEC_REGISTRY, ProtocolSpec
-from repro.relalg.expressions import compile_expr
-from repro.relalg.operators import _AGGREGATES, _split, resolve_sort_keys
-from repro.relalg.query import (
-    AggregateNode,
-    CTENode,
-    DistinctNode,
-    ExtendNode,
-    FilterNode,
-    JoinNode,
-    LimitNode,
-    OrderByNode,
-    PlanNode,
-    ProjectNode,
-    SetOpNode,
-    SourceNode,
-    _AliasNode,
-)
-from repro.relalg.schema import Column, Schema
-from repro.relalg.table import Table
+from repro.backends.delta import trial_lowering
+from repro.protocols.spec import ProtocolSpec
+from repro.relalg.delta import LoweringRefusal, lower_delta_plan
+from repro.relalg.query import PlanNode
 
 __all__ = [
     "LoweringPrediction",
     "predict_plan_lowerability",
     "predict_delta_lowerability",
-    "predicted_backend_matrix",
     "explain_refusal",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class LoweringPrediction:
-    """Static verdict for one plan (or one spec) on ``compiled-delta``."""
+    """Verdict for one plan (or one spec) on ``compiled-delta``."""
 
     lowerable: bool
-    #: The D1xx refusal when not lowerable (first failure, like the
-    #: dynamic path); None when lowerable.
+    #: The D1xx refusal when not lowerable (the first failure the
+    #: lowering hit); None when lowerable.
     refusal: Optional[Diagnostic] = None
 
     @property
@@ -81,311 +60,50 @@ class LoweringPrediction:
         return self.refusal.render() if self.refusal else ""
 
 
-class _Refusal(Exception):
-    """Internal: carries the D1xx diagnostic out of the mirror walk."""
-
-    def __init__(self, diagnostic: Diagnostic) -> None:
-        super().__init__(diagnostic.render())
-        self.diagnostic = diagnostic
-
-
-class _Mirror:
-    """Schema-only replay of :class:`repro.relalg.delta._Lowering`.
-
-    Threads schemas through the plan with the exact resolution calls the
-    real lowering makes (``compile_expr``, ``Schema.resolve``,
-    ``split_join_predicate``) but builds no operators — any exception a
-    resolution raises is folded into D106, matching the dynamic path's
-    broad failure handling.
-    """
-
-    def __init__(self, subject: str) -> None:
-        self.subject = subject
-        self._memo: dict[int, Schema] = {}
-        self._path: list[str] = []
-
-    def _refuse(self, rule: str, message: str) -> "_Refusal":
-        return _Refusal(
-            Diagnostic(
-                rule,
-                self.subject,
-                message,
-                location=" > ".join(self._path),
-            )
-        )
-
-    def _resolved(self, fn: Callable[[], object], context: str) -> object:
-        try:
-            return fn()
-        except _Refusal:
-            raise
-        except Exception as error:  # mirror the dynamic broad except
-            raise self._refuse(
-                "D106", f"{context}: {type(error).__name__}: {error}"
-            ) from None
-
-    def lower(self, node: PlanNode) -> Schema:
-        done = self._memo.get(id(node))
-        if done is not None:
-            return done
-        self._path.append(node._describe())
-        try:
-            schema = self._lower(node)
-        finally:
-            self._path.pop()
-        self._memo[id(node)] = schema
-        return schema
-
-    def _lower(self, node: PlanNode) -> Schema:
-        if isinstance(node, SourceNode):
-            return node.output_schema()
-        if isinstance(node, _AliasNode):
-            return self.lower(node.child).qualify(node.alias)
-        if isinstance(node, CTENode):
-            return self.lower(node.child)
-        if isinstance(node, FilterNode):
-            schema = self.lower(node.child)
-            self._resolved(
-                lambda: compile_expr(node.predicate, schema, predicate=True),
-                "filter predicate",
-            )
-            return schema
-        if isinstance(node, ProjectNode):
-            schema = self.lower(node.child)
-            self._resolved(
-                lambda: [schema.resolve(*_split(c)) for c in node.columns],
-                "projection",
-            )
-            return Schema([Column(_split(c)[0]) for c in node.columns])
-        if isinstance(node, ExtendNode):
-            schema = self.lower(node.child)
-            self._resolved(
-                lambda: compile_expr(node.expr, schema), "extend expression"
-            )
-            return Schema(list(schema.columns) + [Column(node.name)])
-        if isinstance(node, DistinctNode):
-            return self.lower(node.child)
-        if isinstance(node, OrderByNode):
-            schema = self.lower(node.child)
-            self._resolved(
-                lambda: resolve_sort_keys(schema, node.keys), "sort keys"
-            )
-            return schema
-        if isinstance(node, LimitNode):
-            raise self._refuse(
-                "D101", "LIMIT is order-dependent and has no delta lowering"
-            )
-        if isinstance(node, AggregateNode):
-            schema = self.lower(node.child)
-            self._resolved(
-                lambda: [schema.resolve(*_split(g)) for g in node.group_by],
-                "aggregate grouping",
-            )
-            for fn_name, input_col, __ in node.aggregations:
-                if fn_name not in _AGGREGATES:
-                    raise self._refuse(
-                        "D104", f"unknown aggregate {fn_name!r}"
-                    )
-                if not (fn_name == "count" and input_col == "*"):
-                    self._resolved(
-                        lambda col=input_col: schema.resolve(*_split(col)),
-                        "aggregate input",
-                    )
-            return Schema(
-                [Column(_split(g)[0]) for g in node.group_by]
-                + [Column(name) for __, __, name in node.aggregations]
-            )
-        if isinstance(node, SetOpNode):
-            left = self.lower(node.left)
-            right = self.lower(node.right)
-            if left.arity != right.arity:
-                raise self._refuse(
-                    "D105",
-                    f"{node.kind}: arity mismatch {left.arity} vs "
-                    f"{right.arity}",
-                )
-            return left
-        if isinstance(node, JoinNode):
-            return self._lower_join(node)
-        from repro.relalg import sql as _sql
-
-        if isinstance(node, _sql._UnqualifyNode):
-            return self.lower(node.child).unqualified()
-        if isinstance(node, _sql._RenameColumnsNode):
-            schema = self.lower(node.child)
-            return Schema(
-                [
-                    Column(new_name) if new_name else column
-                    for column, new_name in zip(schema.columns, node.renames)
-                ]
-            )
-        if isinstance(node, _sql._UncorrelatedExistsNode):
-            left = self.lower(node.left)
-            self.lower(node.right)
-            return left
-        raise self._refuse(
-            "D103", f"no delta lowering for {type(node).__name__}"
-        )
-
-    def _lower_join(self, node: JoinNode) -> Schema:
-        from repro.relalg.optimizer import split_join_predicate
-
-        left = self.lower(node.left)
-        right = self.lower(node.right)
-        split = self._resolved(
-            lambda: split_join_predicate(node.predicate, left, right),
-            "join predicate",
-        )
-        left_keys, __, residual = split
-        combined = left.concat(right)
-        if residual is not None:
-            self._resolved(
-                lambda: compile_expr(residual, combined, predicate=True),
-                "join residual",
-            )
-        if node.how == "inner":
-            if not left_keys and node.predicate is not None:
-                self._resolved(
-                    lambda: compile_expr(
-                        node.predicate, combined, predicate=True
-                    ),
-                    "join predicate",
-                )
-            return combined
-        if node.how == "left":
-            if not left_keys:
-                raise self._refuse(
-                    "D102",
-                    "left outer join requires at least one equality "
-                    f"conjunct; got predicate {node.predicate!r}",
-                )
-            return combined
-        # semi / anti share the predicate requirement.
-        if not left_keys:
-            if node.predicate is None:
-                raise self._refuse(
-                    "D102", f"{node.how} join requires a predicate"
-                )
-            self._resolved(
-                lambda: compile_expr(node.predicate, combined, predicate=True),
-                "join predicate",
-            )
-        return left
+def _prediction(refusal: Optional[LoweringRefusal]) -> LoweringPrediction:
+    if refusal is None:
+        return LoweringPrediction(True)
+    return LoweringPrediction(
+        False,
+        Diagnostic(
+            refusal.rule,
+            refusal.subject,
+            refusal.message,
+            location=refusal.path,
+        ),
+    )
 
 
 def predict_plan_lowerability(
     root: PlanNode, subject: str = "<plan>", optimize: bool = True
 ) -> LoweringPrediction:
-    """Predict whether *root* delta-lowers, without building operators.
+    """Does *root* delta-lower?  Asks the real lowering.
 
-    With ``optimize=True`` (the default) the plan is first rewritten
-    with the same pass sequence :class:`~repro.relalg.delta.DeltaPlan`
-    applies, so the verdict matches what the backend actually lowers —
-    e.g. Listing 1's key-less ``LEFT JOIN ... IS NULL`` only lowers
-    *because* the outer-join reduction rewrote it to an anti join.
+    With ``optimize=True`` (the default) the plan first goes through the
+    rewrite :class:`~repro.relalg.delta.DeltaPlan` always applies, so
+    the verdict is the backend's — e.g. Listing 1's key-less ``LEFT
+    JOIN ... IS NULL`` only lowers *because* the outer-join reduction
+    rewrote it to an anti join.
     """
-    mirror = _Mirror(subject)
     try:
-        if optimize:
-            from repro.relalg.optimizer import optimize_plan
-            from repro.relalg.plan import reduce_outer_joins
-
-            root = mirror._resolved(
-                lambda: reduce_outer_joins(optimize_plan(root)),
-                "plan optimization",
-            )
-        mirror.lower(root)
-    except _Refusal as refusal:
-        return LoweringPrediction(False, refusal.diagnostic)
+        lower_delta_plan(root, optimize=optimize)
+    except Exception as error:
+        return _prediction(LoweringRefusal.of(error, subject))
     return LoweringPrediction(True)
 
 
-def _dummy_tables() -> tuple[Table, Table]:
-    return (
-        Table("requests", list(REQUEST_COLUMNS)),
-        Table("history", list(REQUEST_COLUMNS)),
-    )
-
-
 def predict_delta_lowerability(spec: ProtocolSpec) -> LoweringPrediction:
-    """Static :meth:`CompiledDeltaBackend.supports` for one spec.
-
-    Builds the spec's plan (relalg builder preferred, SQL text planned
-    otherwise — the same dialect choice ``_spec_builder`` makes) against
-    empty Table-2 stores, then runs the mirror walk.  A spec with
-    neither dialect is trivially not lowerable.
-    """
-    if spec.relalg is None and spec.sql is None:
-        return LoweringPrediction(
-            False,
-            Diagnostic(
-                "D106",
-                spec.name,
-                "spec carries neither a relalg nor a sql dialect",
-            ),
-        )
-    dialect = "relalg" if spec.relalg is not None else "sql"
-    subject = f"{spec.name}/{dialect}"
-    requests, history = _dummy_tables()
-    try:
-        if spec.relalg is not None:
-            root = spec.relalg(requests, history)
-            if hasattr(root, "plan"):  # a Query wrapper
-                root = root.plan
-        else:
-            from repro.relalg.sql import SqlPlanner
-
-            planner = SqlPlanner({"requests": requests, "history": history})
-            root = planner.plan(spec.sql, defer_ctes=True)
-    except Exception as error:
-        return LoweringPrediction(
-            False,
-            Diagnostic(
-                "D106",
-                subject,
-                f"building the {dialect} plan failed: "
-                f"{type(error).__name__}: {error}",
-            ),
-        )
-    return predict_plan_lowerability(root, subject=subject)
-
-
-def predicted_backend_matrix() -> dict[str, dict[str, bool]]:
-    """spec name -> backend name -> statically predicted support.
-
-    The baseline prediction is the declared contract — the backend's
-    ``consumes`` dialects intersect the spec's — and ``compiled-delta``
-    additionally requires :func:`predict_delta_lowerability`.  The
-    matrix test asserts this dict equals what the live backends'
-    ``supports()`` answers, cell for cell.
-    """
-    # Imported lazily: backends import this package for refusal
-    # enrichment, so the analysis layer must not import them at the top.
-    from repro.backends.base import BACKEND_REGISTRY
-
-    matrix: dict[str, dict[str, bool]] = {}
-    for spec_name in sorted(SPEC_REGISTRY):
-        spec = SPEC_REGISTRY[spec_name]
-        row: dict[str, bool] = {}
-        for backend_name in sorted(BACKEND_REGISTRY):
-            backend = BACKEND_REGISTRY[backend_name]()
-            predicted = bool(set(backend.consumes) & spec.dialects())
-            if predicted and backend_name == "compiled-delta":
-                predicted = predict_delta_lowerability(spec).lowerable
-            row[backend_name] = predicted
-        matrix[spec_name] = row
-    return matrix
+    """The trial behind :meth:`CompiledDeltaBackend.supports`, as a
+    diagnostic.  A spec with neither a relalg nor a sql dialect is
+    refused with D106 like any other plan that cannot be built."""
+    return _prediction(trial_lowering(spec))
 
 
 def explain_refusal(spec: ProtocolSpec) -> str:
     """One-line operator-path diagnosis of a compiled-delta refusal.
 
-    Empty string when the spec is predicted lowerable (the refusal must
-    then come from the dialect contract, which the caller reports).
+    Empty string when the spec lowers (a refusal must then come from
+    the dialect contract, which the backend reports itself).
     """
-    prediction = predict_delta_lowerability(spec)
-    if prediction.lowerable or prediction.refusal is None:
-        return ""
-    refusal = prediction.refusal
-    where = f" [at {refusal.location}]" if refusal.location else ""
-    return f"{refusal.subject}: {refusal.message}{where} ({refusal.rule})"
+    refusal = trial_lowering(spec)
+    return str(refusal) if refusal is not None else ""

@@ -34,7 +34,8 @@ from typing import Iterable, Optional
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.inference import infer_plan, table2_projection_ok
-from repro.core.stores import REQUEST_COLUMNS
+from repro.backends.base import spec_plan
+from repro.core.stores import REQUEST_COLUMNS, empty_table2_stores
 from repro.protocols.spec import SPEC_REGISTRY, LockModel, ProtocolSpec
 from repro.relalg.expressions import (
     ColumnRef,
@@ -50,7 +51,6 @@ from repro.relalg.query import (
     JoinNode,
     PlanNode,
 )
-from repro.relalg.table import Table
 
 __all__ = [
     "check_spec",
@@ -61,13 +61,6 @@ __all__ = [
 
 #: The paper's single-letter operation codes (Table 2 / Listing 1).
 _OPERATION_CODES = frozenset({"r", "w", "a", "c"})
-
-
-def _dummy_tables() -> tuple[Table, Table]:
-    return (
-        Table("requests", list(REQUEST_COLUMNS)),
-        Table("history", list(REQUEST_COLUMNS)),
-    )
 
 
 def _walk_plan(root: PlanNode) -> Iterable[PlanNode]:
@@ -180,35 +173,19 @@ def _required_codes(model: LockModel) -> frozenset[str]:
 def _build_dialect_plans(
     spec: ProtocolSpec,
 ) -> tuple[dict[str, PlanNode], list[Diagnostic]]:
-    """Plan each analyzable query dialect against dummy Table 2 stores."""
+    """Plan each analyzable query dialect against empty Table 2 stores."""
     plans: dict[str, PlanNode] = {}
     findings: list[Diagnostic] = []
-    requests, history = _dummy_tables()
-    if spec.relalg is not None:
+    requests, history = empty_table2_stores()
+    for dialect in sorted({"relalg", "sql"} & spec.dialects()):
         try:
-            built = spec.relalg(requests, history)
-            plans["relalg"] = built.plan if hasattr(built, "plan") else built
+            plans[dialect] = spec_plan(spec, requests, history, dialect)
         except Exception as error:
             findings.append(
                 Diagnostic(
                     "S004",
-                    f"{spec.name}/relalg",
-                    f"building the relalg plan failed: "
-                    f"{type(error).__name__}: {error}",
-                )
-            )
-    if spec.sql is not None:
-        from repro.relalg.sql import SqlPlanner
-
-        try:
-            planner = SqlPlanner({"requests": requests, "history": history})
-            plans["sql"] = planner.plan(spec.sql, defer_ctes=True)
-        except Exception as error:
-            findings.append(
-                Diagnostic(
-                    "S004",
-                    f"{spec.name}/sql",
-                    f"planning the sql dialect failed: "
+                    f"{spec.name}/{dialect}",
+                    f"building the {dialect} plan failed: "
                     f"{type(error).__name__}: {error}",
                 )
             )

@@ -345,8 +345,8 @@ def open_service(
 def analyze(specs: bool = True, repo: bool = True):
     """Run the static analyzer and return its
     :class:`~repro.analysis.AnalysisReport` (the spec/plan verifier,
-    the predicted spec × backend matrix with live cross-check, and the
-    repo determinism lint — what ``repro analyze`` prints).
+    the spec × backend support matrix, and the repo determinism lint —
+    what ``repro analyze`` prints).
 
     Imported lazily: the analysis package walks the planner and backend
     registries, which this import-light module must not pull in at top

@@ -18,11 +18,45 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.model.request import Request
 from repro.protocols.base import Protocol, ProtocolDecision
 from repro.protocols.spec import ProtocolSpec
+from repro.relalg.query import PlanNode, Query
+from repro.relalg.sql import SqlPlanner
 from repro.relalg.table import Table
 
 
 class BackendError(Exception):
     """Raised when a backend cannot lower the given spec."""
+
+
+def plan_dialect(spec: ProtocolSpec) -> Optional[str]:
+    """The dialect the relalg engines plan *spec* from: its logical-plan
+    builder when it ships one, else its SQL text; None with neither."""
+    if spec.relalg is not None:
+        return "relalg"
+    return "sql" if spec.sql is not None else None
+
+
+def spec_plan(
+    spec: ProtocolSpec,
+    requests: Table,
+    history: Table,
+    dialect: Optional[str] = None,
+) -> PlanNode:
+    """*spec*'s logical plan over these two tables.
+
+    Built from *dialect* (``"relalg"`` or ``"sql"``; default
+    :func:`plan_dialect`).  SQL text is planned with its CTEs deferred,
+    so shared ``WITH`` subplans stay shared nodes for the compilers.
+    """
+    dialect = dialect or plan_dialect(spec)
+    if dialect == "relalg":
+        built = spec.relalg(requests, history)
+        return built.plan if isinstance(built, Query) else built
+    if dialect == "sql":
+        planner = SqlPlanner({"requests": requests, "history": history})
+        return planner.plan(spec.sql, defer_ctes=True)
+    raise BackendError(
+        f"spec {spec.name!r} carries neither a relalg nor a sql dialect"
+    )
 
 
 class SpecEvaluator(abc.ABC):

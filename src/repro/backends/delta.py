@@ -15,42 +15,36 @@ strong references (ids cannot be recycled underneath the cache) and are
 LRU-bounded.
 
 Support is *exact*: :meth:`CompiledDeltaBackend.supports` trial-lowers
-the spec against empty Table-2-schema stores and refuses — rather than
-silently recomputing — when any operator lacks an incremental lowering
-(``LIMIT``, keyless outer joins).  The spec×backend matrix test asserts
-declared support equals lowerability, so a delta-lowering gap can never
-masquerade as a slow fallback.
+the spec against empty Table-2-schema stores (:func:`trial_lowering`,
+once per spec per process) and refuses — rather than silently
+recomputing — when any operator lacks an incremental lowering
+(``LIMIT``, keyless outer joins).  That one trial is also the whole of
+the static lowerability analysis: :mod:`repro.analysis.lowerability`
+converts its :class:`~repro.relalg.delta.LoweringRefusal` into a
+diagnostic, and the refusal message below prints it, so the analyzer,
+``supports()`` and the :class:`BackendError` text cannot disagree.  The
+spec×backend matrix test pins which specs lower, by name, so a
+delta-lowering gap can never masquerade as a slow fallback.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.backends.base import (
     BackendError,
     ExecutionBackend,
     SpecEvaluator,
+    plan_dialect,
     register_backend,
+    spec_plan,
 )
-from repro.core.stores import REQUEST_COLUMNS
+from repro.core.stores import empty_table2_stores
 from repro.model.request import Request
 from repro.protocols.base import ProtocolDecision
 from repro.protocols.spec import ProtocolSpec
-from repro.relalg.delta import DeltaPlan, lower_delta_plan
-from repro.relalg.sql import SqlPlanner
+from repro.relalg.delta import DeltaPlan, LoweringRefusal, lower_delta_plan
 from repro.relalg.table import Table
-
-
-def _spec_builder(spec: ProtocolSpec) -> Callable[[Table, Table], Any]:
-    """The spec's relalg builder, or its SQL text planned on demand."""
-    if spec.relalg is not None:
-        return spec.relalg
-
-    def builder(requests: Table, history: Table):
-        planner = SqlPlanner({"requests": requests, "history": history})
-        return planner.plan(spec.sql, defer_ctes=True)
-
-    return builder
 
 
 class DeltaPlanCache:
@@ -86,8 +80,7 @@ class DeltaPlanCache:
             self.hits += 1
             return entry[3], True
         self.misses += 1
-        built = _spec_builder(spec)(requests, history)
-        plan = lower_delta_plan(built)
+        plan = lower_delta_plan(spec_plan(spec, requests, history))
         plan.decode_with(Request.from_row)
         self._entries[key] = (spec, requests, history, plan)
         while len(self._entries) > self._capacity:
@@ -108,25 +101,29 @@ class DeltaPlanCache:
 #: The process-wide plan cache (the "statement cache" of this backend).
 GLOBAL_DELTA_PLANS = DeltaPlanCache()
 
-#: spec identity -> (spec, lowerable?) — supports() is called per
+#: spec identity -> (spec, refusal or None) — supports() is called per
 #: matrix cell and trial lowering is not free, so memoize per spec.
-_SUPPORT_CACHE: dict[int, tuple[ProtocolSpec, bool]] = {}
+_TRIALS: dict[int, tuple[ProtocolSpec, Optional[LoweringRefusal]]] = {}
 
 
-def _lowerable(spec: ProtocolSpec) -> bool:
-    cached = _SUPPORT_CACHE.get(id(spec))
+def trial_lowering(spec: ProtocolSpec) -> Optional[LoweringRefusal]:
+    """Lower *spec* against empty Table 2 stores; None when it lowers.
+
+    Otherwise the refusal: whatever building the plan or the real
+    lowering raised, with its rule and operator path.
+    """
+    cached = _TRIALS.get(id(spec))
     if cached is not None and cached[0] is spec:
         return cached[1]
+    refusal = None
     try:
-        requests = Table("requests", list(REQUEST_COLUMNS))
-        history = Table("history", list(REQUEST_COLUMNS))
-        lower_delta_plan(_spec_builder(spec)(requests, history))
-    except Exception:
-        ok = False
-    else:
-        ok = True
-    _SUPPORT_CACHE[id(spec)] = (spec, ok)
-    return ok
+        lower_delta_plan(spec_plan(spec, *empty_table2_stores()))
+    except Exception as error:
+        dialect = plan_dialect(spec)
+        subject = f"{spec.name}/{dialect}" if dialect else spec.name
+        refusal = LoweringRefusal.of(error, subject)
+    _TRIALS[id(spec)] = (spec, refusal)
+    return refusal
 
 
 class DeltaPlanEvaluator(SpecEvaluator):
@@ -185,25 +182,18 @@ class CompiledDeltaBackend(ExecutionBackend):
         # Dialect intersection is necessary but not sufficient: the
         # matrix contract says supports() must *exactly* predict
         # whether evaluator() lowers, so trial-lower once per spec.
-        return super().supports(spec) and _lowerable(spec)
+        return super().supports(spec) and trial_lowering(spec) is None
 
     def _reject(self, spec: ProtocolSpec) -> BackendError:
         if not super().supports(spec):
             # Plain dialect mismatch; the base message says what's
             # missing.
             return super()._reject(spec)
-        # The dialects intersect but the plan refused to lower: cite the
-        # static analyzer's operator-path diagnosis (which operator, in
-        # which dialect) instead of an opaque refusal.
-        from repro.analysis.lowerability import explain_refusal
-
-        diagnosis = explain_refusal(spec)
-        reason = (
-            diagnosis
-            or "the plan has no incremental lowering (trial-lowering failed)"
-        )
+        # The dialects intersect but the plan refused to lower: cite
+        # what the lowering raised — which operator, in which dialect.
         return BackendError(
-            f"backend {self.name!r} cannot run spec {spec.name!r}: {reason}"
+            f"backend {self.name!r} cannot run spec {spec.name!r}: "
+            f"{trial_lowering(spec)}"
         )
 
     def evaluator(self, spec: ProtocolSpec, **options) -> SpecEvaluator:

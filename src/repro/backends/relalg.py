@@ -17,10 +17,13 @@ runs on this engine.  The difference is purely the evaluation strategy
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.backends.base import (
     ExecutionBackend,
     SpecEvaluator,
     register_backend,
+    spec_plan,
 )
 from repro.model.request import Request
 from repro.protocols.base import ProtocolDecision
@@ -60,18 +63,9 @@ class CompiledRelalgEvaluator(SpecEvaluator):
     """Compile-once physical plans, cached per table pair."""
 
     def __init__(self, spec: ProtocolSpec) -> None:
-        if spec.relalg is not None:
-            builder = spec.relalg
-        else:
+        if spec.relalg is None:
             self.source = spec.sql
-
-            def builder(requests: Table, history: Table):
-                planner = SqlPlanner(
-                    {"requests": requests, "history": history}
-                )
-                return planner.plan(spec.sql, defer_ctes=True)
-
-        self.plans = PlanCache(builder)
+        self.plans = PlanCache(partial(spec_plan, spec))
 
     def evaluate(self, requests: Table, history: Table) -> ProtocolDecision:
         return _rows_to_decision(

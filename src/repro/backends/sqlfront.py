@@ -9,10 +9,13 @@ hand-written plan at all.  SQL in, schedule out.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.backends.base import (
     ExecutionBackend,
     SpecEvaluator,
     register_backend,
+    spec_plan,
 )
 from repro.model.request import Request
 from repro.protocols.base import ProtocolDecision
@@ -31,11 +34,7 @@ class SqlFrontendEvaluator(SpecEvaluator):
         self.source = spec.sql
         self.compiled = compiled
 
-        def builder(requests: Table, history: Table):
-            planner = SqlPlanner({"requests": requests, "history": history})
-            return planner.plan(self._sql, defer_ctes=True)
-
-        self.plans = PlanCache(builder)
+        self.plans = PlanCache(partial(spec_plan, spec, dialect="sql"))
 
     def evaluate(self, requests: Table, history: Table) -> ProtocolDecision:
         if self.compiled:

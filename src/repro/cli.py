@@ -756,13 +756,7 @@ def _cmd_analyze(args) -> int:
             1 for row in report.matrix.values() for ok in row.values() if ok
         )
         pairs = sum(len(row) for row in report.matrix.values())
-        print(
-            f"spec × backend matrix: {supported}/{pairs} pairs statically "
-            f"predicted supported, all agreeing with the live backends"
-            if not any(f.rule == "D100" for f in report.findings)
-            else f"spec × backend matrix: {supported}/{pairs} pairs "
-            f"predicted supported — WITH DISAGREEMENTS (see D100)"
-        )
+        print(f"spec × backend matrix: {supported}/{pairs} pairs supported")
     errors, warnings = len(report.errors), len(report.warnings)
     print(f"analyze: {errors} error(s), {warnings} warning(s)")
 

@@ -25,6 +25,15 @@ def _new_table(name: str) -> Table:
     return table
 
 
+def empty_table2_stores() -> tuple[Table, Table]:
+    """Fresh, empty ``(requests, history)`` tables on the Table 2 schema.
+
+    What a spec's plan is built against when only its *shape* matters:
+    trial lowering, static analysis.  No indexes, no rows.
+    """
+    return _new_table("requests"), _new_table("history")
+
+
 class PendingStore:
     """The pending-request database."""
 

@@ -17,9 +17,7 @@ specification/execution split, it is layered:
   (``build_protocol("ss2pl", "datalog")``);
 * :mod:`repro.protocols.legacy` keeps the historical class names
   (``SS2PLDatalogProtocol()`` ≡ spec ``ss2pl-listing1`` on backend
-  ``datalog``); the old per-protocol module paths
-  (``repro.protocols.ss2pl*``) are deprecation stubs over it — new
-  code constructs through :mod:`repro.api` — and
+  ``datalog``) — new code constructs through :mod:`repro.api` — and
   :mod:`repro.protocols.sla` / :mod:`repro.protocols.adaptive` provide
   protocol *combinators* (SLA ordering, EDF, adaptive consistency)
   that wrap any bound protocol.

@@ -5,10 +5,8 @@ Each class here is the historical name for a ``build_protocol(spec,
 backend)`` pairing (``SS2PLDatalogProtocol()`` ≡
 ``build_protocol("ss2pl-listing1", "datalog")``) plus whatever compat
 accessors its era exposed (``_plans``, ``explain_denial``, ``resync``,
-the maintained-view properties).  The five historical module paths
-(``repro.protocols.ss2pl`` and friends) are deprecation stubs that
-re-export from here with a :class:`DeprecationWarning`; new code should
-construct through :mod:`repro.api` instead::
+the maintained-view properties).  New code should construct through
+:mod:`repro.api` instead::
 
     import repro.api as api
     protocol = api.make_protocol("ss2pl-listing1", "datalog")

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from time import perf_counter
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.relalg.expressions import compile_expr
 from repro.relalg.operators import _AGGREGATES, _split, resolve_sort_keys
@@ -67,7 +67,7 @@ from repro.relalg.query import (
     _AliasNode,
 )
 from repro.relalg.relation import Relation
-from repro.relalg.schema import Column, Schema
+from repro.relalg.schema import Schema
 from repro.relalg.table import Table, row_projector
 
 #: A signed multiset of rows: +n inserts, -n retracts.  Zero-count
@@ -78,15 +78,56 @@ Delta = dict
 class DeltaLoweringError(ValueError):
     """The logical plan has no incremental lowering (e.g. LIMIT).
 
-    When raised from inside a lowering walk the message is annotated
-    with — and :attr:`operator_path` carries — the root-to-operator
-    path of the refusing node, so backend refusals and ``repro
-    analyze`` diagnostics cite *which* operator cannot be maintained.
+    Every raise site names the analyzer rule it stands for (D101–D105,
+    see ``docs/analysis.md``), and the lowering walk records the
+    root-to-operator path of the refusing node in
+    :attr:`operator_path`, so backend refusals and ``repro analyze``
+    diagnostics cite *which* operator cannot be maintained, and why.
     """
 
     #: ``_describe()`` strings from the plan root down to the refusing
     #: operator; ``None`` when raised outside a lowering walk.
     operator_path: "tuple[str, ...] | None" = None
+
+    def __init__(self, message: str, rule: str) -> None:
+        super().__init__(message)
+        self.rule = rule
+
+    def __str__(self) -> str:
+        if self.operator_path is None:
+            return self.args[0]
+        return f"{self.args[0]} [at {' > '.join(self.operator_path)}]"
+
+
+class LoweringRefusal(NamedTuple):
+    """Why one trial lowering failed, as rule / subject / message / path.
+
+    The single conversion from "whatever the real lowering raised" to
+    the analyzer's vocabulary: a :class:`DeltaLoweringError` keeps the
+    rule its raise site named; any other exception out of plan
+    building, optimization or reference resolution is D106 and is
+    cited by type.
+    """
+
+    rule: str
+    subject: str
+    message: str
+    #: ``a > b > c`` operator path; empty when the failure happened
+    #: outside the lowering walk (plan building, optimization).
+    path: str
+
+    @classmethod
+    def of(cls, error: Exception, subject: str) -> "LoweringRefusal":
+        path = " > ".join(getattr(error, "operator_path", None) or ())
+        if isinstance(error, DeltaLoweringError):
+            return cls(error.rule, subject, error.args[0], path)
+        return cls(
+            "D106", subject, f"{type(error).__name__}: {error}", path
+        )
+
+    def __str__(self) -> str:
+        where = f" [at {self.path}]" if self.path else ""
+        return f"{self.subject}: {self.message}{where} ({self.rule})"
 
 
 class DeltaStateError(RuntimeError):
@@ -830,7 +871,12 @@ class _Lowering:
     Mirrors :func:`repro.relalg.plan._compile` node for node; shared
     logical subtrees (CTEs, optimizer DAGs) lower to shared delta nodes,
     and every scan of the same base table shares one :class:`DSource`
-    (and thus one journal cursor)."""
+    (and thus one journal cursor).  Output schemas come from each
+    node's own :meth:`~repro.relalg.query.PlanNode.derive_schema`.
+
+    This walk is also the lowerability analysis: a refusal names its
+    rule at the raise site and :meth:`lower` records where it happened,
+    so ``repro analyze`` asks this code rather than a copy of it."""
 
     def __init__(self) -> None:
         self.memo: dict[int, tuple[DeltaNode, Schema]] = {}
@@ -852,15 +898,13 @@ class _Lowering:
         self._path.append(node._describe())
         try:
             lowered = self._lower(node)
-        except DeltaLoweringError as error:
-            # Annotate the refusal with the root-to-operator path once
-            # (the innermost frame sees the full stack) so the backend's
+        except Exception as error:
+            # Record the root-to-operator path once (the innermost frame
+            # sees the full stack) on whatever was raised — a refusal or
+            # a failed column resolution alike — so the backend's
             # rejection message names the offending operator in place.
             if getattr(error, "operator_path", None) is None:
                 error.operator_path = tuple(self._path)
-                error.args = (
-                    f"{error.args[0]} [at {' > '.join(self._path)}]",
-                )
             raise
         finally:
             self._path.pop()
@@ -869,29 +913,20 @@ class _Lowering:
 
     def _lower(self, node: PlanNode) -> tuple[DeltaNode, Schema]:
         if isinstance(node, SourceNode):
+            schema = node.derive_schema()
             if isinstance(node.source, Table):
                 source = self.table_sources.get(id(node.source))
                 if source is None:
                     source = DSource(node.source)
                     self.table_sources[id(node.source)] = source
                     self.order.append(source)
-                schema = (
-                    node.source.schema.qualify(node.alias)
-                    if node.alias
-                    else node.source.schema
-                )
                 return source, schema
-            schema = (
-                node.source.schema.qualify(node.alias)
-                if node.alias
-                else node.source.schema
-            )
             static = DStatic(node.source, schema)
             self.order.append(static)
             return static, schema
         if isinstance(node, _AliasNode):
             child, schema = self.lower(node.child)
-            out = schema.qualify(node.alias)
+            out = node.derive_schema(schema)
             return self.wire(DIdentity(out), [child]), out
         if isinstance(node, CTENode):
             # Transparent: sharing is structural (memoized children).
@@ -903,12 +938,12 @@ class _Lowering:
         if isinstance(node, ProjectNode):
             child, schema = self.lower(node.child)
             positions = [schema.resolve(*_split(c)) for c in node.columns]
-            out = Schema([Column(_split(c)[0]) for c in node.columns])
+            out = node.derive_schema(schema)
             return self.wire(DProject(out, positions), [child]), out
         if isinstance(node, ExtendNode):
             child, schema = self.lower(node.child)
             fn = compile_expr(node.expr, schema)
-            out = Schema(list(schema.columns) + [Column(node.name)])
+            out = node.derive_schema(schema)
             return self.wire(DExtend(out, fn), [child]), out
         if isinstance(node, DistinctNode):
             child, schema = self.lower(node.child)
@@ -923,7 +958,7 @@ class _Lowering:
             return self.wire(DIdentity(schema), [child]), schema
         if isinstance(node, LimitNode):
             raise DeltaLoweringError(
-                "LIMIT is order-dependent and has no delta lowering"
+                "LIMIT is order-dependent and has no delta lowering", "D101"
             )
         if isinstance(node, AggregateNode):
             child, schema = self.lower(node.child)
@@ -932,17 +967,14 @@ class _Lowering:
             for fn_name, input_col, output_name in node.aggregations:
                 if fn_name not in _AGGREGATES:
                     raise DeltaLoweringError(
-                        f"unknown aggregate {fn_name!r}"
+                        f"unknown aggregate {fn_name!r}", "D104"
                     )
                 if fn_name == "count" and input_col == "*":
                     pos: Optional[int] = None
                 else:
                     pos = schema.resolve(*_split(input_col))
                 specs.append((fn_name, pos, output_name))
-            out = Schema(
-                [Column(_split(g)[0]) for g in node.group_by]
-                + [Column(name) for __, __, name in specs]
-            )
+            out = node.derive_schema(schema)
             return (
                 self.wire(DAggregate(out, group_pos, specs), [child]),
                 out,
@@ -953,7 +985,8 @@ class _Lowering:
             if left_schema.arity != right_schema.arity:
                 raise DeltaLoweringError(
                     f"{node.kind}: arity mismatch {left_schema.arity} vs "
-                    f"{right_schema.arity}"
+                    f"{right_schema.arity}",
+                    "D105",
                 )
             return (
                 self.wire(DSetOp(left_schema, node.kind), [left, right]),
@@ -963,18 +996,10 @@ class _Lowering:
             return self._lower_join(node)
         from repro.relalg import sql as _sql
 
-        if isinstance(node, _sql._UnqualifyNode):
+        if isinstance(node, (_sql._UnqualifyNode, _sql._RenameColumnsNode)):
+            # Both only rename columns: the rows pass through untouched.
             child, schema = self.lower(node.child)
-            out = schema.unqualified()
-            return self.wire(DIdentity(out), [child]), out
-        if isinstance(node, _sql._RenameColumnsNode):
-            child, schema = self.lower(node.child)
-            out = Schema(
-                [
-                    Column(new_name) if new_name else column
-                    for column, new_name in zip(schema.columns, node.renames)
-                ]
-            )
+            out = node.derive_schema(schema)
             return self.wire(DIdentity(out), [child]), out
         if isinstance(node, _sql._UncorrelatedExistsNode):
             left, left_schema = self.lower(node.left)
@@ -987,7 +1012,7 @@ class _Lowering:
                 left_schema,
             )
         raise DeltaLoweringError(
-            f"no delta lowering for {type(node).__name__}"
+            f"no delta lowering for {type(node).__name__}", "D103"
         )
 
     def _lower_join(self, node: JoinNode) -> tuple[DeltaNode, Schema]:
@@ -1000,7 +1025,10 @@ class _Lowering:
         )
         left_pos = [left_schema.resolve(*_split(k)) for k in left_keys]
         right_pos = [right_schema.resolve(*_split(k)) for k in right_keys]
+        # Predicates see both sides whatever the join kind; what the join
+        # *emits* is the node's own business.
         combined = left_schema.concat(right_schema)
+        out = node.derive_schema(left_schema, right_schema)
         residual_test = (
             compile_expr(residual, combined, predicate=True)
             if residual is not None
@@ -1012,28 +1040,27 @@ class _Lowering:
                 residual_test = compile_expr(
                     node.predicate, combined, predicate=True
                 )
-            join = DInnerJoin(combined, left_pos, right_pos, residual_test)
-            return self.wire(join, [left, right]), combined
+            join = DInnerJoin(out, left_pos, right_pos, residual_test)
+            return self.wire(join, [left, right]), out
         if node.how == "left":
             if not left_pos:
                 raise DeltaLoweringError(
                     "left outer join requires at least one equality "
-                    f"conjunct; got predicate {node.predicate!r}"
+                    f"conjunct; got predicate {node.predicate!r}",
+                    "D102",
                 )
             join = DLeftJoin(
-                combined,
-                left_pos,
-                right_pos,
-                residual_test,
-                right_schema.arity,
+                out, left_pos, right_pos, residual_test, right_schema.arity
             )
-            return self.wire(join, [left, right]), combined
+            return self.wire(join, [left, right]), out
         if node.how == "semi":
             if left_pos and residual is None:
-                semi = DSemiJoin(left_schema, left_pos, right_pos)
-                return self.wire(semi, [left, right]), left_schema
+                semi = DSemiJoin(out, left_pos, right_pos)
+                return self.wire(semi, [left, right]), out
             if node.predicate is None:
-                raise DeltaLoweringError("semi join requires a predicate")
+                raise DeltaLoweringError(
+                    "semi join requires a predicate", "D102"
+                )
             test = residual_test
             if not left_pos:
                 test = compile_expr(node.predicate, combined, predicate=True)
@@ -1041,22 +1068,22 @@ class _Lowering:
                 DInnerJoin(combined, left_pos, right_pos, test),
                 [left, right],
             )
-            prefix = self.wire(DPrefix(left_schema), [inner])
-            return self.wire(DDistinct(left_schema), [prefix]), left_schema
+            prefix = self.wire(DPrefix(out), [inner])
+            return self.wire(DDistinct(out), [prefix]), out
         # anti
         if left_pos and residual is None:
-            anti: DeltaNode = DAntiKeyJoin(left_schema, left_pos, right_pos)
-            return self.wire(anti, [left, right]), left_schema
+            anti: DeltaNode = DAntiKeyJoin(out, left_pos, right_pos)
+            return self.wire(anti, [left, right]), out
         if left_pos:
-            anti = DAntiResidualJoin(
-                left_schema, left_pos, right_pos, residual_test
-            )
-            return self.wire(anti, [left, right]), left_schema
+            anti = DAntiResidualJoin(out, left_pos, right_pos, residual_test)
+            return self.wire(anti, [left, right]), out
         if node.predicate is None:
-            raise DeltaLoweringError("anti join requires a predicate")
+            raise DeltaLoweringError(
+                "anti join requires a predicate", "D102"
+            )
         test = compile_expr(node.predicate, combined, predicate=True)
-        anti = DAntiResidualJoin(left_schema, [], [], test)
-        return self.wire(anti, [left, right]), left_schema
+        anti = DAntiResidualJoin(out, [], [], test)
+        return self.wire(anti, [left, right]), out
 
 
 # -- the maintained plan ------------------------------------------------------

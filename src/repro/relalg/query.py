@@ -31,8 +31,23 @@ from repro.relalg.table import Table
 class PlanNode:
     """Base class of logical plan nodes."""
 
-    def output_schema(self) -> Schema:
+    def derive_schema(self, *children: Schema) -> Schema:
+        """This node's output schema given its children's, in
+        :meth:`children` order.
+
+        The one statement of each operator's schema algebra:
+        :meth:`output_schema`, the delta lowering and the static
+        inference pass all call it, each threading the child schemas it
+        already holds.  It only names columns — resolving references
+        against them is the caller's business — so it never raises for
+        a well-constructed node.
+        """
         raise NotImplementedError
+
+    def output_schema(self) -> Schema:
+        return self.derive_schema(
+            *[child.output_schema() for child in self.children()]
+        )
 
     def execute(self) -> Relation:
         raise NotImplementedError
@@ -58,12 +73,9 @@ class SourceNode(PlanNode):
         self.source = source
         self.alias = alias
 
-    def output_schema(self) -> Schema:
-        if isinstance(self.source, Table):
-            relation_schema = self.source.schema
-        else:
-            relation_schema = self.source.schema
-        return relation_schema.qualify(self.alias) if self.alias else relation_schema
+    def derive_schema(self) -> Schema:
+        schema = self.source.schema
+        return schema.qualify(self.alias) if self.alias else schema
 
     def execute(self) -> Relation:
         if isinstance(self.source, Table):
@@ -83,8 +95,8 @@ class FilterNode(PlanNode):
         self.child = child
         self.predicate = predicate
 
-    def output_schema(self) -> Schema:
-        return self.child.output_schema()
+    def derive_schema(self, child: Schema) -> Schema:
+        return child
 
     def execute(self) -> Relation:
         return ops.select(self.child.execute(), self.predicate)
@@ -101,8 +113,8 @@ class ProjectNode(PlanNode):
         self.child = child
         self.columns = list(columns)
 
-    def output_schema(self) -> Schema:
-        return Schema([Column(c.split(".")[-1]) for c in self.columns])
+    def derive_schema(self, child: Schema) -> Schema:
+        return Schema([Column(ops._split(c)[0]) for c in self.columns])
 
     def execute(self) -> Relation:
         return ops.project(self.child.execute(), self.columns)
@@ -120,8 +132,8 @@ class ExtendNode(PlanNode):
         self.name = name
         self.expr = expr
 
-    def output_schema(self) -> Schema:
-        return Schema(list(self.child.output_schema().columns) + [Column(self.name)])
+    def derive_schema(self, child: Schema) -> Schema:
+        return Schema(list(child.columns) + [Column(self.name)])
 
     def execute(self) -> Relation:
         return ops.extend(self.child.execute(), self.name, self.expr)
@@ -155,10 +167,10 @@ class JoinNode(PlanNode):
         self.predicate = predicate
         self.how = how
 
-    def output_schema(self) -> Schema:
+    def derive_schema(self, left: Schema, right: Schema) -> Schema:
         if self.how in ("semi", "anti"):
-            return self.left.output_schema()
-        return self.left.output_schema().concat(self.right.output_schema())
+            return left
+        return left.concat(right)
 
     def execute(self) -> Relation:
         from repro.relalg.optimizer import split_join_predicate
@@ -229,8 +241,8 @@ class SetOpNode(PlanNode):
         self.left = left
         self.right = right
 
-    def output_schema(self) -> Schema:
-        return self.left.output_schema()
+    def derive_schema(self, left: Schema, right: Schema) -> Schema:
+        return left
 
     def execute(self) -> Relation:
         return self._FUNCS[self.kind](self.left.execute(), self.right.execute())
@@ -246,8 +258,8 @@ class DistinctNode(PlanNode):
     def __init__(self, child: PlanNode) -> None:
         self.child = child
 
-    def output_schema(self) -> Schema:
-        return self.child.output_schema()
+    def derive_schema(self, child: Schema) -> Schema:
+        return child
 
     def execute(self) -> Relation:
         return ops.distinct(self.child.execute())
@@ -261,8 +273,8 @@ class OrderByNode(PlanNode):
         self.child = child
         self.keys = list(keys)
 
-    def output_schema(self) -> Schema:
-        return self.child.output_schema()
+    def derive_schema(self, child: Schema) -> Schema:
+        return child
 
     def execute(self) -> Relation:
         return ops.order_by(self.child.execute(), self.keys)
@@ -279,8 +291,8 @@ class LimitNode(PlanNode):
         self.child = child
         self.n = n
 
-    def output_schema(self) -> Schema:
-        return self.child.output_schema()
+    def derive_schema(self, child: Schema) -> Schema:
+        return child
 
     def execute(self) -> Relation:
         return ops.limit(self.child.execute(), self.n)
@@ -303,9 +315,9 @@ class AggregateNode(PlanNode):
         self.group_by = list(group_by)
         self.aggregations = list(aggregations)
 
-    def output_schema(self) -> Schema:
+    def derive_schema(self, child: Schema) -> Schema:
         return Schema(
-            [Column(g.split(".")[-1]) for g in self.group_by]
+            [Column(ops._split(g)[0]) for g in self.group_by]
             + [Column(name) for __, __, name in self.aggregations]
         )
 
@@ -439,8 +451,8 @@ class CTENode(PlanNode):
         self.child = child
         self.name = name
 
-    def output_schema(self) -> Schema:
-        return self.child.output_schema()
+    def derive_schema(self, child: Schema) -> Schema:
+        return child
 
     def execute(self) -> Relation:
         return self.child.execute()
@@ -464,8 +476,8 @@ class _AliasNode(PlanNode):
         self.child = child
         self.alias = alias
 
-    def output_schema(self) -> Schema:
-        return self.child.output_schema().qualify(self.alias)
+    def derive_schema(self, child: Schema) -> Schema:
+        return child.qualify(self.alias)
 
     def execute(self) -> Relation:
         return ops.rename(self.child.execute(), self.alias)

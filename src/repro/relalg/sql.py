@@ -3,9 +3,8 @@
 Answers the paper's research question 1 — "To what extent can existing
 query languages be used to capture typical constraints on request
 schedules?" — operationally: the paper's Listing 1 SQL text parses and
-executes *on this repository's own engine* (see
-:class:`repro.protocols.ss2pl_sqlfront.SqlFrontendSS2PLProtocol`),
-cross-checked against sqlite3.
+executes *on this repository's own engine* (the ``sqlfront`` backend,
+:mod:`repro.backends.sqlfront`), cross-checked against sqlite3.
 
 Supported subset (everything Listing 1 and typical scheduling rules
 need)::
@@ -656,12 +655,12 @@ class _UnqualifyNode(PlanNode):
     def __init__(self, child: PlanNode) -> None:
         self.child = child
 
-    def output_schema(self) -> Schema:
-        return self.child.output_schema().unqualified()
+    def derive_schema(self, child: Schema) -> Schema:
+        return child.unqualified()
 
     def execute(self) -> Relation:
         relation = self.child.execute()
-        return Relation(relation.schema.unqualified(), relation.rows)
+        return Relation(self.derive_schema(relation.schema), relation.rows)
 
     def children(self):
         return [self.child]
@@ -674,18 +673,17 @@ class _RenameColumnsNode(PlanNode):
         self.child = child
         self.renames = list(renames)
 
-    def output_schema(self) -> Schema:
-        base = self.child.output_schema()
+    def derive_schema(self, child: Schema) -> Schema:
         return Schema(
             [
                 Column(new_name) if new_name else column
-                for column, new_name in zip(base.columns, self.renames)
+                for column, new_name in zip(child.columns, self.renames)
             ]
         )
 
     def execute(self) -> Relation:
         relation = self.child.execute()
-        return Relation(self.output_schema(), relation.rows)
+        return Relation(self.derive_schema(relation.schema), relation.rows)
 
     def children(self):
         return [self.child]
@@ -699,8 +697,8 @@ class _UncorrelatedExistsNode(PlanNode):
         self.right = right
         self.negated = negated
 
-    def output_schema(self) -> Schema:
-        return self.left.output_schema()
+    def derive_schema(self, left: Schema, right: Schema) -> Schema:
+        return left
 
     def execute(self) -> Relation:
         left = self.left.execute()

@@ -148,33 +148,10 @@ class TestOpenService:
 
 
 class TestDeprecatedShims:
-    SHIMS = [
-        "repro.protocols.ss2pl",
-        "repro.protocols.ss2pl_datalog",
-        "repro.protocols.ss2pl_incremental",
-        "repro.protocols.ss2pl_sql",
-        "repro.protocols.ss2pl_sqlfront",
-    ]
-
-    @pytest.mark.parametrize("module_name", SHIMS)
-    def test_shim_import_warns_but_works(self, module_name):
-        import importlib
-        import sys
-
-        sys.modules.pop(module_name, None)
-        with pytest.warns(DeprecationWarning):
-            module = importlib.import_module(module_name)
-        # Behaviour-identical: the shim re-exports the legacy names.
-        legacy = importlib.import_module("repro.protocols.legacy")
-        public = [name for name in dir(module) if not name.startswith("_")]
-        assert public, f"{module_name} re-exports nothing"
-        for name in public:
-            if hasattr(legacy, name):
-                assert getattr(module, name) is getattr(legacy, name)
-
     def test_package_import_stays_warning_free(self):
-        # The deprecation must not leak into normal imports: importing
-        # the package, the api, and the bench modules emits nothing.
+        # The deprecation stubs are gone; nothing on the normal import
+        # surface (package, api, legacy class names, bench, cli) may
+        # bring one back.
         import subprocess
         import sys
 
@@ -184,7 +161,8 @@ class TestDeprecatedShims:
                 "-W",
                 "error::DeprecationWarning",
                 "-c",
-                "import repro, repro.api, repro.bench, repro.cli",
+                "import repro, repro.api, repro.protocols.legacy, "
+                "repro.bench, repro.cli",
             ],
             capture_output=True,
             text=True,

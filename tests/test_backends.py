@@ -173,7 +173,7 @@ class TestListing1ShimCompat:
     def test_explain_works_in_both_evaluation_modes(self):
         # Regression: EXPLAIN (and ._plans) must survive compiled=False,
         # as before the spec/backend split.
-        from repro.protocols.ss2pl import PaperListing1Protocol
+        from repro.protocols.legacy import PaperListing1Protocol
 
         requests = empty_requests_table()
         history = empty_history_table()

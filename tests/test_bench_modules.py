@@ -11,7 +11,7 @@ from repro.bench.declarative_overhead import (
 )
 from repro.bench.figure2 import Figure2Point, sweep_native
 from repro.bench.incremental_ablation import drive_steps
-from repro.protocols.ss2pl import PaperListing1Protocol
+from repro.protocols.legacy import PaperListing1Protocol
 
 
 class TestPaperSnapshot:

@@ -13,7 +13,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.model.request import make_transaction
 from repro.model.schedule import Schedule, is_conflict_serializable, is_strict
 from repro.protocols.fcfs import FCFSProtocol
-from repro.protocols.ss2pl import SS2PLRelalgProtocol
+from repro.protocols.legacy import SS2PLRelalgProtocol
 
 from tests.conftest import request
 

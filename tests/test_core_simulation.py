@@ -7,7 +7,7 @@ from repro.core.triggers import FillLevelTrigger, HybridTrigger
 from repro.protocols.fcfs import FCFSProtocol
 from repro.protocols.relaxed import ReadCommittedProtocol
 from repro.protocols.sla import SLAOrderingProtocol
-from repro.protocols.ss2pl import SS2PLRelalgProtocol
+from repro.protocols.legacy import SS2PLRelalgProtocol
 from repro.workload.clients import ClientPopulation, SLA_TIERS
 from repro.workload.spec import WorkloadSpec
 

@@ -8,8 +8,7 @@ from repro.core.simulation import MiddlewareSimulation
 from repro.core.triggers import FillLevelTrigger, HybridTrigger, TimeLapseTrigger
 from repro.protocols.adaptive import AdaptiveConsistencyProtocol
 from repro.protocols.relaxed import ReadCommittedProtocol
-from repro.protocols.ss2pl import SS2PLRelalgProtocol
-from repro.protocols.ss2pl_datalog import SS2PLDatalogProtocol
+from repro.protocols.legacy import SS2PLDatalogProtocol, SS2PLRelalgProtocol
 from repro.workload.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(reads_per_txn=3, writes_per_txn=3, table_rows=400)

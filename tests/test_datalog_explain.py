@@ -93,7 +93,7 @@ class TestBasics:
 class TestSchedulingDenials:
     def test_explaining_a_denial(self):
         """The operator-facing use case: why was request 4 denied?"""
-        from repro.protocols.ss2pl_datalog import SS2PL_DATALOG_RULES
+        from repro.protocols.library import SS2PL_DATALOG_RULES
 
         program = Program.parse(SS2PL_DATALOG_RULES)
         db = Database()

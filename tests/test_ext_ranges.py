@@ -13,7 +13,7 @@ from repro.ext.ranges import (
     make_range_tables,
 )
 from repro.model.request import Operation
-from repro.protocols.ss2pl import PaperListing1Protocol
+from repro.protocols.legacy import PaperListing1Protocol
 
 from tests.conftest import empty_history_table, empty_requests_table
 

@@ -18,8 +18,10 @@ from repro.model.schedule import (
     is_legal_ss2pl_order,
     is_strict,
 )
-from repro.protocols.ss2pl import SS2PLRelalgProtocol
-from repro.protocols.ss2pl_incremental import SS2PLIncrementalProtocol
+from repro.protocols.legacy import (
+    SS2PLIncrementalProtocol,
+    SS2PLRelalgProtocol,
+)
 from repro.server.engine import SimulatedDBMS
 from repro.workload.spec import WorkloadSpec
 

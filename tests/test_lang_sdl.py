@@ -9,7 +9,7 @@ from repro.lang.compiler import compile_spec
 from repro.lang.parser import SDLSyntaxError, parse_sdl
 from repro.lang.protocol import SDL_READ_COMMITTED, SDL_SS2PL, SDLProtocol
 from repro.protocols.relaxed import ReadCommittedProtocol
-from repro.protocols.ss2pl import PaperListing1Protocol
+from repro.protocols.legacy import PaperListing1Protocol
 
 from tests.conftest import random_scheduling_instance
 

@@ -11,7 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.ss2pl import LISTING1_SQL
+from repro.protocols.library import LISTING1_SQL
 from repro.relalg.expressions import col, lit
 from repro.relalg.query import Query
 from repro.relalg.relation import rows_equal_as_bags

@@ -9,13 +9,12 @@ from repro.bench.incremental_ablation import drive_steps
 from repro.core.scheduler import DeclarativeScheduler
 from repro.model.request import Request
 from repro.protocols.fcfs import FCFSProtocol
-from repro.protocols.ss2pl import (
+from repro.protocols.legacy import (
     PaperListing1Protocol,
+    SS2PLIncrementalProtocol,
     SS2PLRelalgProtocol,
-    listing1_pipeline,
-    listing1_query,
 )
-from repro.protocols.ss2pl_incremental import SS2PLIncrementalProtocol
+from repro.protocols.library import listing1_pipeline, listing1_query
 from repro.relalg.expressions import col, compile_expr, is_null, lit, or_
 from repro.relalg.plan import (
     CompiledPlan,

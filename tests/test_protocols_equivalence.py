@@ -16,10 +16,12 @@ from repro.baselines.imperative import ImperativeSS2PLScheduler
 from repro.lang.protocol import SDLProtocol, SDL_SS2PL
 from repro.model.history import HistoryView
 from repro.model.request import Request
-from repro.protocols.ss2pl import PaperListing1Protocol
-from repro.protocols.ss2pl_datalog import SS2PLDatalogProtocol
-from repro.protocols.ss2pl_sql import SS2PLSqlProtocol
-from repro.protocols.ss2pl_sqlfront import SqlFrontendSS2PLProtocol
+from repro.protocols.legacy import (
+    PaperListing1Protocol,
+    SS2PLDatalogProtocol,
+    SS2PLSqlProtocol,
+    SqlFrontendSS2PLProtocol,
+)
 
 from tests.conftest import (
     empty_history_table,

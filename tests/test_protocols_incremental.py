@@ -4,8 +4,10 @@ import random
 
 from repro.core.scheduler import DeclarativeScheduler, SchedulerConfig
 from repro.model.request import make_transaction
-from repro.protocols.ss2pl import PaperListing1Protocol
-from repro.protocols.ss2pl_incremental import SS2PLIncrementalProtocol
+from repro.protocols.legacy import (
+    PaperListing1Protocol,
+    SS2PLIncrementalProtocol,
+)
 
 from tests.conftest import (
     empty_history_table,

@@ -14,7 +14,7 @@ from repro.protocols.sla import (
     EarliestDeadlineFirstProtocol,
     SLAOrderingProtocol,
 )
-from repro.protocols.ss2pl import SS2PLRelalgProtocol
+from repro.protocols.legacy import SS2PLRelalgProtocol
 
 from tests.conftest import (
     empty_history_table,

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.core.stores import HistoryStore, PendingStore
-from repro.protocols.ss2pl import (
-    PaperListing1Protocol,
-    SS2PLRelalgProtocol,
-    listing1_pipeline,
-)
+from repro.protocols.legacy import PaperListing1Protocol, SS2PLRelalgProtocol
+from repro.protocols.library import listing1_pipeline
 
 from tests.conftest import (
     empty_history_table,

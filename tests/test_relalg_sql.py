@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.protocols.ss2pl import LISTING1_SQL, PaperListing1Protocol
+from repro.protocols.legacy import PaperListing1Protocol
+from repro.protocols.library import LISTING1_SQL
 from repro.relalg.sql import SqlError, SqlPlanner, execute_sql
 from repro.relalg.table import Table
 

@@ -50,40 +50,32 @@ class TestDeclaredSupportIsExact:
             f"lowerable {sorted(actually_lowered)}"
         )
 
-    def test_static_prediction_matches_dynamic_support_exactly(self):
-        # The analyzer's schema-only lowerability mirror replaces the
-        # old hand-maintained skip-list pin: for EVERY spec × backend
-        # pair, the static prediction must equal the backend's live
-        # supports() answer — which for compiled-delta trial-lowers the
-        # plan.  A new spec landing in the wrong bucket (silently
-        # skipped, or silently accepted with an unmaintainable plan)
-        # fails here by name, and so does any drift between the mirror
-        # in repro.analysis.lowerability and the real lowering.
-        from repro.analysis import explain_refusal, predicted_backend_matrix
+    def test_compiled_delta_support_is_pinned(self):
+        # One lowering answers both supports() and the analyzer, so
+        # agreement between them proves nothing; what must not move
+        # silently is *which* specs lower.  A lowering regression that
+        # drops a spec, or a new spec landing in the wrong bucket,
+        # fails here by name.
+        from repro.analysis import explain_refusal, predict_delta_lowerability
 
-        matrix = predicted_backend_matrix()
-        assert sorted(matrix) == sorted(ALL_SPECS)
-        for spec_name, row in matrix.items():
-            assert sorted(row) == ALL_BACKENDS
-            spec = SPEC_REGISTRY[spec_name]
-            declared = set(supported_backends(spec))
-            for backend_name, predicted in row.items():
-                actual = backend_name in declared
-                assert predicted == actual, (
-                    f"{spec_name} × {backend_name}: static analysis "
-                    f"predicts {predicted}, backend declares {actual}"
-                )
-        # Every compiled-delta refusal of a spec that *has* a relalg or
-        # sql dialect comes with an operator-path diagnosis.
-        for spec_name, row in matrix.items():
-            spec = SPEC_REGISTRY[spec_name]
-            if row["compiled-delta"] or not (
-                {"relalg", "sql"} & spec.dialects()
-            ):
-                continue
-            assert explain_refusal(spec), (
-                f"{spec_name}: refused without a diagnosis"
-            )
+        lowered = {
+            name
+            for name in ALL_SPECS
+            if "compiled-delta" in supported_backends(SPEC_REGISTRY[name])
+        }
+        assert lowered == {
+            "exclusive",
+            "fcfs",
+            "priority-ceiling",
+            "read-committed",
+            "ss2pl",
+            "ss2pl-listing1",
+        }
+        assert set(ALL_SPECS) - lowered == {"bounded-oversell", "c2pl"}
+        for name in ("bounded-oversell", "c2pl"):
+            spec = SPEC_REGISTRY[name]
+            assert predict_delta_lowerability(spec).refusal.rule == "D106"
+            assert "(D106)" in explain_refusal(spec)
 
     def test_matrix_is_wide(self):
         # The refactor's acceptance floor: >= 8 specs, and the flagship

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.protocols.ss2pl import PaperListing1Protocol
+from repro.protocols.legacy import PaperListing1Protocol
 from repro.sqlbridge.bridge import SqliteScheduler
 
 from tests.conftest import (

@@ -1,8 +1,7 @@
 """E11 — incremental view maintenance vs. per-step recomputation."""
 
+import repro.api as api
 from repro.bench.incremental_ablation import drive_steps, run_incremental_ablation
-from repro.protocols.legacy import PaperListing1Protocol
-from repro.protocols.legacy import SS2PLIncrementalProtocol
 
 from benchmarks.conftest import emit
 
@@ -24,10 +23,10 @@ def test_incremental_is_faster_and_equivalent():
     # run_incremental_ablation and BENCH_scheduler_step.json, and can
     # legitimately beat the hand-written incremental protocol.
     recompute = drive_steps(
-        PaperListing1Protocol(compiled=False), clients=150, steps=20
+        api.make_protocol("ss2pl-listing1", "interpreted"), clients=150, steps=20
     )
     incremental = drive_steps(
-        SS2PLIncrementalProtocol(), clients=150, steps=20
+        api.make_protocol("ss2pl-listing1", "incremental"), clients=150, steps=20
     )
     assert incremental.batches == recompute.batches
     assert incremental.total_seconds < recompute.total_seconds

@@ -1,12 +1,12 @@
 """E7 — trigger-policy ablation (the evaluation Section 3.3 defers)."""
 
+import repro.api as api
 from repro.bench.triggers_ablation import (
     ABLATION_WORKLOAD,
     run_trigger_ablation,
 )
 from repro.core.simulation import MiddlewareSimulation
 from repro.core.triggers import FillLevelTrigger, TimeLapseTrigger
-from repro.protocols.legacy import SS2PLRelalgProtocol
 
 from benchmarks.conftest import emit
 
@@ -24,7 +24,7 @@ def test_trigger_ablation_report(benchmark):
 
 def _run(trigger):
     return MiddlewareSimulation(
-        protocol=SS2PLRelalgProtocol(),
+        protocol=api.make_protocol("ss2pl"),
         trigger=trigger,
         spec=ABLATION_WORKLOAD,
         clients=40,

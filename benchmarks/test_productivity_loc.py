@@ -1,11 +1,10 @@
 """E9 — productivity: declarative vs imperative specification size."""
 
+import repro.api as api
 from repro.bench.productivity import run_productivity
 from repro.baselines.imperative import ImperativeSS2PLScheduler
 from repro.bench.productivity import _code_lines
 from repro.lang.protocol import SDLProtocol, SDL_SS2PL
-from repro.protocols.legacy import PaperListing1Protocol
-from repro.protocols.legacy import SS2PLDatalogProtocol
 
 from benchmarks.conftest import emit
 
@@ -18,8 +17,8 @@ def test_productivity_report(benchmark):
 
 
 def test_declarative_forms_strictly_smaller():
-    sql = PaperListing1Protocol().spec_line_count()
-    datalog = SS2PLDatalogProtocol().spec_line_count()
+    sql = api.make_protocol("ss2pl-listing1").spec_line_count()
+    datalog = api.make_protocol("ss2pl-listing1", "datalog").spec_line_count()
     sdl = SDLProtocol(SDL_SS2PL).spec_line_count()
     imperative = _code_lines(ImperativeSS2PLScheduler)
     # The paper's succinctness ladder: SDL < Datalog < SQL < imperative.

@@ -8,13 +8,13 @@ paper does.
 
 import pytest
 
+import repro.api as api
 from repro.bench.declarative_overhead import (
     measure_scheduler_run,
     paper_snapshot,
     run_declarative_overhead,
 )
-from repro.core.scheduler import DeclarativeScheduler, SchedulerConfig
-from repro.protocols.legacy import PaperListing1Protocol
+from repro.core.scheduler import SchedulerConfig
 
 from benchmarks.conftest import emit
 
@@ -25,8 +25,8 @@ def test_scheduler_run_timing(benchmark, clients):
     incoming, history = paper_snapshot(clients)
 
     def fresh_scheduler():
-        scheduler = DeclarativeScheduler(
-            PaperListing1Protocol(),
+        scheduler = api.make_scheduler(
+            "ss2pl-listing1",
             config=SchedulerConfig(prune_history=False),
         )
         scheduler.history.record_batch(history)

@@ -14,7 +14,7 @@ Run:  python examples/custom_consistency.py
 import repro.api as api
 from repro import SchedulerConfig
 from repro.model.request import Operation, Request
-from repro.protocols.app_consistency import BoundedOversellProtocol
+from repro.protocols import make_bounded_oversell_spec
 
 EVENT_ROCK_CONCERT = 1
 EVENT_POETRY_NIGHT = 2
@@ -25,7 +25,7 @@ def reservation(request_id: int, ta: int, event: int) -> Request:
 
 
 def main() -> None:
-    protocol = BoundedOversellProtocol(allowance=3)
+    protocol = api.make_protocol(make_bounded_oversell_spec(allowance=3))
     print("protocol rules:\n" + protocol.declarative_source)
 
     # Custom protocol instances route through the same public surface

@@ -17,8 +17,8 @@ Quickstart
 
 :mod:`repro.api` is the documented construction surface — protocols,
 triggers, schedulers, and the asyncio serving layer all build through
-it (``api.open_service("ss2pl", "compiled-delta")``).  The class
-re-exports below remain for compatibility.
+it (``api.open_service("ss2pl", "compiled-delta")``); a protocol is a
+spec name × a backend name, never a class of its own.
 
 Package map (see DESIGN.md for the full inventory):
 
@@ -26,8 +26,10 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.core` — the middleware scheduler (Figure 1)
 - :mod:`repro.protocols` — declarative protocols (SS2PL/Listing 1, 2PL
   variants, SLA, relaxed, application-specific, adaptive)
-- :mod:`repro.relalg` / :mod:`repro.datalog` / :mod:`repro.lang` /
-  :mod:`repro.sqlbridge` — the four declarative backends
+- :mod:`repro.backends` — the execution backends a spec can be
+  bound to, over the engines in :mod:`repro.relalg`,
+  :mod:`repro.datalog` and :mod:`repro.sqlbridge`; :mod:`repro.lang`
+  is the SDL front-end
 - :mod:`repro.serve` — the asyncio serving layer (pooled sessions)
 - :mod:`repro.shard` — sharded multi-scheduler scale-out
 - :mod:`repro.server` — the simulated DBMS with its native scheduler
@@ -57,17 +59,9 @@ from repro.core import (
 )
 from repro.protocols import (
     AdaptiveConsistencyProtocol,
-    BoundedOversellProtocol,
-    ConservativeTwoPLProtocol,
     EarliestDeadlineFirstProtocol,
-    FCFSProtocol,
-    PaperListing1Protocol,
     Protocol,
-    ReadCommittedProtocol,
     SLAOrderingProtocol,
-    SS2PLDatalogProtocol,
-    SS2PLRelalgProtocol,
-    SS2PLSqlProtocol,
 )
 from repro.lang import SDLProtocol, SDL_SS2PL, SDL_READ_COMMITTED
 from repro.server import BatchServer, CostModel, SimulatedDBMS
@@ -94,16 +88,8 @@ __all__ = [
     "HybridTrigger",
     "MiddlewareSimulation",
     "Protocol",
-    "PaperListing1Protocol",
-    "SS2PLRelalgProtocol",
-    "SS2PLDatalogProtocol",
-    "SS2PLSqlProtocol",
-    "ConservativeTwoPLProtocol",
-    "FCFSProtocol",
     "SLAOrderingProtocol",
     "EarliestDeadlineFirstProtocol",
-    "ReadCommittedProtocol",
-    "BoundedOversellProtocol",
     "AdaptiveConsistencyProtocol",
     "SDLProtocol",
     "SDL_SS2PL",

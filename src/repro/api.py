@@ -21,7 +21,8 @@ spellings):
 
 * **protocol** — a spec name from the registry (``ss2pl-listing1``,
   ``2pl-conservative``, …), a wrapper prefix ``sla:<spec>`` /
-  ``adaptive:<strict>,<relaxed>``, or a live
+  ``adaptive:<strict>,<relaxed>``, a
+  :class:`~repro.protocols.spec.ProtocolSpec` instance, or a live
   :class:`~repro.protocols.base.Protocol` instance passed through.
 * **trigger** — ``fill:<threshold>``, ``time:<interval>``,
   ``hybrid:<interval>,<threshold>``, a
@@ -46,6 +47,7 @@ from repro.backends import (
     BackendError,
     backend_names,
     build_protocol,
+    resolve_backend,
     supported_backends,
 )
 from repro.core.scheduler import (
@@ -63,7 +65,7 @@ from repro.faults.admission import AdmissionPolicy
 from repro.faults.recovery import RecoveryPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.protocols.base import Protocol
-from repro.protocols.spec import spec_names
+from repro.protocols.spec import ProtocolSpec, spec_names
 from repro.serve.service import SchedulerService
 from repro.shard.scheduler import CrossShardPolicy, ShardedScheduler
 
@@ -95,7 +97,7 @@ __all__ = [
 
 
 def make_protocol(
-    protocol: Union[str, Protocol],
+    protocol: Union[str, Protocol, ProtocolSpec],
     backend: Optional[str] = None,
     *,
     clients: int = 8,
@@ -105,12 +107,16 @@ def make_protocol(
 
     Accepts a plain spec name, the ``sla:<spec>`` and
     ``adaptive:<strict>,<relaxed>`` wrapper prefixes (``clients`` sizes
-    the adaptive protocol's load watermarks), or an already-built
-    Protocol instance (returned unchanged — composed protocols pass
-    through the same code paths as names).
+    the adaptive protocol's load watermarks), an unregistered
+    :class:`~repro.protocols.spec.ProtocolSpec` instance (bound to
+    *backend* like a name), or an already-built Protocol instance
+    (returned unchanged — composed protocols pass through the same code
+    paths as names).
     """
     if isinstance(protocol, Protocol):
         return protocol
+    if isinstance(protocol, ProtocolSpec):
+        return build_protocol(protocol, backend, **backend_options)
     name = protocol
     if name.startswith("sla:"):
         from repro.protocols.sla import SLAOrderingProtocol
@@ -135,35 +141,24 @@ def make_protocol(
 
 
 def validate_pairing(
-    protocol: Union[str, Protocol, None], backend: Optional[str]
+    protocol: Union[str, Protocol, ProtocolSpec, None], backend: Optional[str]
 ) -> None:
     """Fail fast on a spec×backend pairing the backend declares it
     cannot run, raising :class:`BackendError` with the backend's own
-    skip reason (instead of letting a caller fall back silently).
+    skip reason (instead of letting a caller fall back silently), and
+    on a malformed wrapper spelling (:class:`ValueError`).
 
-    Wrapper prefixes validate their inner spec(s); live Protocol
-    instances and ``None`` protocols validate trivially (the backend
-    name itself is still checked against the registry).
+    Live Protocol instances and ``None`` protocols validate trivially
+    (the backend name itself is still checked against the registry).
     """
-    from repro.backends import resolve_backend
-
     if backend is not None:
         resolve_backend(backend)  # unknown names raise, listing choices
-    if protocol is None or isinstance(protocol, Protocol):
-        return
-    name = protocol
-    if name.startswith("sla:"):
-        name = name[4:]
-    elif name.startswith("adaptive:"):
-        strict_name, _, relaxed_name = name[len("adaptive:"):].partition(",")
-        validate_pairing(strict_name, backend)
-        if relaxed_name:
-            validate_pairing(relaxed_name, backend)
-        return
-    # Building binds spec to backend; an unsupported pairing raises the
-    # backend's declared reason.  The throwaway instance is cheap (all
-    # backends lower lazily or at trial speed).
-    build_protocol(name, backend)
+    if protocol is not None:
+        # Building binds spec to backend, so the prefix mini-language
+        # and the pairing check live in make_protocol alone.  The
+        # throwaway instance is cheap (all backends lower lazily or at
+        # trial speed).
+        make_protocol(protocol, backend)
 
 
 # -- triggers --------------------------------------------------------------
@@ -204,7 +199,7 @@ def make_trigger(trigger: Union[str, TriggerPolicy, None]) -> Optional[TriggerPo
 
 
 def make_scheduler(
-    protocol: Union[str, Protocol],
+    protocol: Union[str, Protocol, ProtocolSpec],
     backend: Optional[str] = None,
     *,
     trigger: Union[str, TriggerPolicy, None] = None,
@@ -234,7 +229,7 @@ def make_scheduler(
     cannot be sharded (shards must not share mutable policy state);
     pass registry names / string spellings instead.
     """
-    if shards is None:
+    def build_one() -> DeclarativeScheduler:
         return DeclarativeScheduler(
             make_protocol(protocol, backend, clients=clients, **backend_options),
             trigger=make_trigger(trigger),
@@ -244,6 +239,9 @@ def make_scheduler(
             admission=admission,
             clock=clock,
         )
+
+    if shards is None:
+        return build_one()
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if shards > 1 and isinstance(protocol, Protocol):
@@ -256,18 +254,7 @@ def make_scheduler(
             "cannot share one TriggerPolicy instance across shards; pass "
             "a trigger spec string so each shard builds its own"
         )
-    shard_schedulers = [
-        DeclarativeScheduler(
-            make_protocol(protocol, backend, clients=clients, **backend_options),
-            trigger=make_trigger(trigger),
-            config=config,
-            metrics=metrics,
-            recovery=recovery,
-            admission=admission,
-            clock=clock,
-        )
-        for __ in range(shards)
-    ]
+    shard_schedulers = [build_one() for __ in range(shards)]
     return ShardedScheduler(
         shard_schedulers,
         route=shard_route,
@@ -278,7 +265,7 @@ def make_scheduler(
 
 
 def open_service(
-    protocol: Union[str, Protocol],
+    protocol: Union[str, Protocol, ProtocolSpec],
     backend: Optional[str] = None,
     *,
     trigger: Union[str, TriggerPolicy, None] = None,

@@ -162,14 +162,18 @@ class SpecProtocol(Protocol):
     adapter normalizes it to arrival (id) order, and the spec's
     ``post_process`` policy — if any — runs identically regardless of
     backend.
+
+    ``evaluator`` is the backend's lowered artefact for this spec; what
+    a backend offers beyond ``evaluate`` (``plans``/``explain`` on the
+    plan-caching engines, ``explain_denial`` on ``datalog``, ``resync``
+    and the maintained lock views on ``incremental``) is reached
+    through it.
     """
 
     def __init__(
         self,
         spec: ProtocolSpec,
         backend: "str | ExecutionBackend | None" = None,
-        name: Optional[str] = None,
-        description: Optional[str] = None,
         **backend_options,
     ) -> None:
         self.spec = spec
@@ -178,44 +182,40 @@ class SpecProtocol(Protocol):
         )
         if not self.backend.supports(spec):
             raise self.backend._reject(spec)
-        self._evaluator = self.backend.evaluator(spec, **backend_options)
-        if name is not None:
-            self.name = name
-        elif self.backend.name == spec.default_backend:
+        self.evaluator = self.backend.evaluator(spec, **backend_options)
+        if self.backend.name == spec.default_backend:
             self.name = spec.name
         else:
             self.name = f"{spec.name}@{self.backend.name}"
         self.description = (
-            description
-            if description is not None
-            else spec.description or f"{spec.name} on {self.backend.name}"
+            spec.description or f"{spec.name} on {self.backend.name}"
         )
         self.capabilities = spec.capabilities
         self.declarative_source = (
-            self._evaluator.source
-            if self._evaluator.source is not None
+            self.evaluator.source
+            if self.evaluator.source is not None
             else spec.declarative_source
         )
 
     def schedule(self, requests: Table, history: Table) -> ProtocolDecision:
-        decision = self._evaluator.evaluate(requests, history)
+        decision = self.evaluator.evaluate(requests, history)
         decision.qualified.sort(key=lambda r: r.id)
         if self.spec.post_process is not None:
             decision = self.spec.post_process(decision, requests, history)
         return decision
 
     def reset(self) -> None:
-        self._evaluator.reset()
+        self.evaluator.reset()
 
     def maintenance_stats(self) -> Optional[dict]:
         """Delta/cache maintenance counters, when the backend keeps
         incrementally maintained state (None otherwise).  Surfaced in
         scenario reports and the step-cost bench."""
-        stats = getattr(self._evaluator, "maintenance_stats", None)
+        stats = getattr(self.evaluator, "maintenance_stats", None)
         return stats() if callable(stats) else None
 
     def observe_executed(self, batch: Sequence[Request]) -> None:
-        self._evaluator.observe_executed(batch)
+        self.evaluator.observe_executed(batch)
 
     def observe_pruned(self, transactions: set[int]) -> None:
-        self._evaluator.observe_pruned(transactions)
+        self.evaluator.observe_pruned(transactions)

@@ -179,8 +179,8 @@ def table1_rows(include_ours: bool = True) -> list[tuple[str, str, str, str, str
         for approach in RELATED_APPROACHES
     ]
     if include_ours:
-        from repro.protocols.legacy import SS2PLRelalgProtocol
+        from repro.protocols.spec import get_spec
 
-        ours = SS2PLRelalgProtocol().capabilities
+        ours = get_spec("ss2pl").capabilities
         rows.append(("Declarative scheduler (this work)", *ours.as_row()))
     return rows

@@ -22,12 +22,12 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import repro.api as api
 from repro.core.scheduler import DeclarativeScheduler, SchedulerConfig
 from repro.core.triggers import FillLevelTrigger
 from repro.metrics.reporting import ComparisonRow, render_comparison, render_table
 from repro.model.request import Operation, Request
 from repro.protocols.base import Protocol
-from repro.protocols.legacy import PaperListing1Protocol
 
 #: The paper's Section 4.3.2 anchor numbers.
 PAPER_OVERHEAD = {
@@ -116,7 +116,7 @@ def measure_scheduler_run(
     protocol = (
         protocol
         if protocol is not None
-        else PaperListing1Protocol(compiled=False)
+        else api.make_protocol("ss2pl-listing1", "interpreted")
     )
     per_run: list[float] = []
     returned: list[int] = []

@@ -16,13 +16,12 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import repro.api as api
 from repro.core.scheduler import DeclarativeScheduler, SchedulerConfig
 from repro.core.triggers import FillLevelTrigger, TriggerPolicy
 from repro.metrics.reporting import render_table
 from repro.model.request import NO_OBJECT, Operation, Request
 from repro.protocols.base import Protocol
-from repro.protocols.legacy import PaperListing1Protocol
-from repro.protocols.legacy import SS2PLIncrementalProtocol
 
 
 @dataclass
@@ -135,15 +134,16 @@ def run_incremental_ablation(
     clients: int = 200, steps: int = 30, seed: int = 13
 ) -> str:
     recompute = drive_steps(
-        PaperListing1Protocol(compiled=False),
+        api.make_protocol("ss2pl-listing1", "interpreted"),
         clients=clients, steps=steps, seed=seed,
     )
     compiled = drive_steps(
-        PaperListing1Protocol(compiled=True),
+        api.make_protocol("ss2pl-listing1", "compiled"),
         clients=clients, steps=steps, seed=seed,
     )
     incremental = drive_steps(
-        SS2PLIncrementalProtocol(), clients=clients, steps=steps, seed=seed
+        api.make_protocol("ss2pl-listing1", "incremental"),
+        clients=clients, steps=steps, seed=seed,
     )
     if recompute.batches != incremental.batches:
         raise AssertionError(

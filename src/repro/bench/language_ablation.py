@@ -15,30 +15,29 @@ per-step cost (their one-time compilation happens in the warmup).
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Sequence
 
+import repro.api as api
 from repro.bench.declarative_overhead import paper_snapshot
 from repro.core.stores import HistoryStore, PendingStore
 from repro.lang.protocol import SDLProtocol, SDL_SS2PL
 from repro.metrics.reporting import render_table
 from repro.protocols.base import Protocol
-from repro.protocols.legacy import PaperListing1Protocol
-from repro.protocols.legacy import SS2PLDatalogProtocol
-from repro.protocols.legacy import SS2PLSqlProtocol
-from repro.protocols.legacy import SqlFrontendSS2PLProtocol
 
 
 def backends() -> list[tuple[str, Protocol]]:
     """(label, protocol) pairs; labels disambiguate the two evaluation
     strategies of the relalg and SQL-frontend backends."""
+    listing1 = partial(api.make_protocol, "ss2pl-listing1")
     return [
-        ("relalg interpreted", PaperListing1Protocol(compiled=False)),
-        ("relalg compiled plan", PaperListing1Protocol(compiled=True)),
-        ("datalog", SS2PLDatalogProtocol()),
+        ("relalg interpreted", listing1("interpreted")),
+        ("relalg compiled plan", listing1("compiled")),
+        ("datalog", listing1("datalog")),
         ("sdl", SDLProtocol(SDL_SS2PL)),
-        ("sqlite3", SS2PLSqlProtocol()),
-        ("sqlfront interpreted", SqlFrontendSS2PLProtocol(compiled=False)),
-        ("sqlfront compiled plan", SqlFrontendSS2PLProtocol(compiled=True)),
+        ("sqlite3", listing1("sqlite")),
+        ("sqlfront interpreted", listing1("sqlfront", compiled=False)),
+        ("sqlfront compiled plan", listing1("sqlfront")),
     ]
 
 

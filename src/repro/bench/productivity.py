@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import inspect
 
+import repro.api as api
 from repro.baselines.imperative import ImperativeSS2PLScheduler
 from repro.lang.protocol import SDLProtocol, SDL_SS2PL, SDL_READ_COMMITTED
 from repro.metrics.reporting import render_table
-from repro.protocols.app_consistency import BoundedOversellProtocol
-from repro.protocols.relaxed import ReadCommittedProtocol
-from repro.protocols.legacy import PaperListing1Protocol
-from repro.protocols.legacy import SS2PLDatalogProtocol
+from repro.protocols.library import make_bounded_oversell_spec
 
 
 def _code_lines(obj) -> int:
@@ -45,8 +43,16 @@ def _code_lines(obj) -> int:
 
 def run_productivity() -> str:
     ss2pl_rows = [
-        ("SS2PL", "SQL (paper Listing 1)", PaperListing1Protocol().spec_line_count()),
-        ("SS2PL", "Datalog", SS2PLDatalogProtocol().spec_line_count()),
+        (
+            "SS2PL",
+            "SQL (paper Listing 1)",
+            api.make_protocol("ss2pl-listing1").spec_line_count(),
+        ),
+        (
+            "SS2PL",
+            "Datalog",
+            api.make_protocol("ss2pl-listing1", "datalog").spec_line_count(),
+        ),
         ("SS2PL", "SDL (this work's language)", SDLProtocol(SDL_SS2PL).spec_line_count()),
         (
             "SS2PL",
@@ -55,7 +61,11 @@ def run_productivity() -> str:
         ),
     ]
     other_rows = [
-        ("read committed", "Datalog", ReadCommittedProtocol().spec_line_count()),
+        (
+            "read committed",
+            "Datalog",
+            api.make_protocol("read-committed", "datalog").spec_line_count(),
+        ),
         (
             "read committed",
             "SDL",
@@ -64,7 +74,7 @@ def run_productivity() -> str:
         (
             "bounded oversell (app-specific)",
             "Datalog",
-            BoundedOversellProtocol(3).spec_line_count(),
+            api.make_protocol(make_bounded_oversell_spec(3)).spec_line_count(),
         ),
     ]
     table = render_table(

@@ -57,7 +57,6 @@ from repro.bench import (
     run_table2,
     run_trigger_ablation,
 )
-from repro.protocols.base import PROTOCOL_REGISTRY
 
 
 @dataclass(frozen=True)
@@ -285,15 +284,16 @@ def _check_trigger(trigger: Optional[str]) -> Optional[str]:
 
 def _check_pairing(protocol: Optional[str], backend: Optional[str]) -> None:
     """Exit code 2 with the backend's declared skip reason when it
-    cannot run the chosen spec — never fall back silently."""
-    if protocol is None or backend is None:
+    cannot run the chosen spec — never fall back silently — or when the
+    ``sla:`` / ``adaptive:`` spelling is malformed."""
+    if protocol is None:
         return
     import repro.api as api
     from repro.backends import BackendError
 
     try:
         api.validate_pairing(protocol, backend)
-    except BackendError as error:
+    except (BackendError, ValueError) as error:
         print(str(error), file=sys.stderr)
         raise _UsageError from error
 
@@ -306,10 +306,11 @@ def _cmd_list() -> int:
     for key in sorted(EXPERIMENTS, key=_experiment_order):
         description = EXPERIMENTS[key][0]
         print(f"  {key:4s} {description}")
+    from repro.protocols.spec import get_spec, spec_names
+
     print("\nregistered protocols:")
-    for name in sorted(PROTOCOL_REGISTRY):
-        protocol = PROTOCOL_REGISTRY[name]()
-        print(f"  {name:20s} {protocol.description}")
+    for name in spec_names():
+        print(f"  {name:20s} {get_spec(name).description}")
     print(
         "\n(see `repro protocols` / `repro backends` for the "
         "spec × backend matrix)"
@@ -355,6 +356,8 @@ def _cmd_backends() -> int:
 def _cmd_run(ids: Sequence[str], quick: bool, opts: RunOptions) -> int:
     _check_backend(opts.backend)
     _check_protocol(opts.protocol)
+    # Spelling only: whether --backend applies is per experiment, below.
+    _check_pairing(opts.protocol, None)
     _check_trigger(opts.trigger)
     wanted = list(ids)
     if len(wanted) == 1 and wanted[0].lower() == "all":

@@ -214,39 +214,6 @@ class DeclarativeScheduler:
         self._crashed_clients: dict[int, float] = {}
         self._orphaned_at: dict[int, float] = {}
 
-    @classmethod
-    def for_spec(
-        cls,
-        protocol: str,
-        backend: Optional[str] = None,
-        trigger: Optional[TriggerPolicy] = None,
-        config: SchedulerConfig = SchedulerConfig(),
-        metrics: Optional[MetricsCollector] = None,
-        recovery: Optional[RecoveryPolicy] = None,
-        admission: Optional[AdmissionPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
-        **backend_options,
-    ) -> "DeclarativeScheduler":
-        """Build a scheduler from registry names — the backend-agnostic
-        construction path (``--protocol ss2pl --backend compiled``).
-
-        The scheduler core never sees which engine evaluates the spec;
-        it only holds the bound :class:`~repro.backends.SpecProtocol`.
-        Raises ``KeyError``/``BackendError`` naming the valid choices
-        for a bad protocol/backend name.
-        """
-        from repro.backends import build_protocol
-
-        return cls(
-            build_protocol(protocol, backend, **backend_options),
-            trigger=trigger,
-            config=config,
-            metrics=metrics,
-            recovery=recovery,
-            admission=admission,
-            clock=clock,
-        )
-
     @property
     def _tracking(self) -> bool:
         """True when per-transaction bookkeeping must be maintained."""

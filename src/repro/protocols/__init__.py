@@ -14,11 +14,9 @@ specification/execution split, it is layered:
   bounded-oversell app-consistency family;
 * :mod:`repro.backends` — pluggable execution backends; any spec runs
   on any backend that can lower one of its dialects
-  (``build_protocol("ss2pl", "datalog")``);
-* :mod:`repro.protocols.legacy` keeps the historical class names
-  (``SS2PLDatalogProtocol()`` ≡ spec ``ss2pl-listing1`` on backend
-  ``datalog``) — new code constructs through :mod:`repro.api` — and
-  :mod:`repro.protocols.sla` / :mod:`repro.protocols.adaptive` provide
+  (``api.make_protocol("ss2pl", "datalog")`` — :mod:`repro.api` is
+  the one construction surface; there is no class per pairing);
+* :mod:`repro.protocols.sla` / :mod:`repro.protocols.adaptive` provide
   protocol *combinators* (SLA ordering, EDF, adaptive consistency)
   that wrap any bound protocol.
 """
@@ -27,8 +25,6 @@ from repro.protocols.base import (
     Capabilities,
     Protocol,
     ProtocolDecision,
-    PROTOCOL_REGISTRY,
-    register_protocol,
 )
 from repro.protocols.spec import (
     LockModel,
@@ -43,27 +39,13 @@ from repro.protocols.library import (
     SS2PL_DATALOG_RULES,
     make_bounded_oversell_spec,
 )
-from repro.protocols.legacy import (
-    PaperListing1Protocol,
-    SS2PLDatalogProtocol,
-    SS2PLIncrementalProtocol,
-    SS2PLRelalgProtocol,
-    SS2PLSqlProtocol,
-    SqlFrontendSS2PLProtocol,
-)
-from repro.protocols.c2pl import ConservativeTwoPLProtocol
-from repro.protocols.fcfs import FCFSProtocol
 from repro.protocols.sla import SLAOrderingProtocol, EarliestDeadlineFirstProtocol
-from repro.protocols.relaxed import ReadCommittedProtocol
-from repro.protocols.app_consistency import BoundedOversellProtocol
 from repro.protocols.adaptive import AdaptiveConsistencyProtocol
 
 __all__ = [
     "Capabilities",
     "Protocol",
     "ProtocolDecision",
-    "PROTOCOL_REGISTRY",
-    "register_protocol",
     "LockModel",
     "ProtocolSpec",
     "SPEC_REGISTRY",
@@ -71,18 +53,8 @@ __all__ = [
     "register_spec",
     "spec_names",
     "make_bounded_oversell_spec",
-    "SS2PLRelalgProtocol",
-    "PaperListing1Protocol",
-    "SS2PLDatalogProtocol",
     "SS2PL_DATALOG_RULES",
-    "SS2PLIncrementalProtocol",
-    "SS2PLSqlProtocol",
-    "SqlFrontendSS2PLProtocol",
-    "ConservativeTwoPLProtocol",
-    "FCFSProtocol",
     "SLAOrderingProtocol",
     "EarliestDeadlineFirstProtocol",
-    "ReadCommittedProtocol",
-    "BoundedOversellProtocol",
     "AdaptiveConsistencyProtocol",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.model.request import Request
 from repro.relalg.table import Table
@@ -106,17 +106,6 @@ class Protocol(abc.ABC):
         return sum(
             1 for line in self.declarative_source.splitlines() if line.strip()
         )
-
-
-#: name -> factory; populated by :func:`register_protocol` decorators.
-PROTOCOL_REGISTRY: Dict[str, Callable[[], Protocol]] = {}
-
-
-def register_protocol(factory: Callable[[], Protocol]) -> Callable[[], Protocol]:
-    """Register a zero-argument protocol factory under its product's name."""
-    instance = factory()
-    PROTOCOL_REGISTRY[instance.name] = factory
-    return factory
 
 
 def requests_from_relation(rows: Sequence[Sequence]) -> list[Request]:

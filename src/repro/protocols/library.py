@@ -5,9 +5,8 @@ protocol is one :class:`~repro.protocols.spec.ProtocolSpec` carrying
 every dialect we can state it in — a relalg logical-plan builder, SQL
 text, Datalog rules, a lock model, and (where the rule needs counting
 or admission) a hand-written set-at-a-time callable.  Execution lives
-entirely in :mod:`repro.backends`; the historical per-backend modules
-(``ss2pl_sql``, ``ss2pl_sqlfront``, ``ss2pl_datalog``,
-``ss2pl_incremental``) are now compatibility shims over the single
+entirely in :mod:`repro.backends`: SS2PL on sqlite, on the SQL
+frontend, as Datalog or on maintained lock views is the single
 ``ss2pl-listing1`` spec plus backend selection.
 
 Shipped specs (8, the protocol side of the protocol × backend matrix):

@@ -95,6 +95,11 @@ class TestValidatePairing:
         with pytest.raises(BackendError):
             api.validate_pairing("adaptive:ss2pl,c2pl", "compiled")
 
+    def test_malformed_adaptive_spelling_raises(self):
+        # One parser: what make_protocol refuses, validation refuses.
+        with pytest.raises(ValueError, match="adaptive:<strict>,<relaxed>"):
+            api.validate_pairing("adaptive:ss2pl", None)
+
 
 class TestMakeScheduler:
     def test_scheduler_runs_quickstart(self):
@@ -150,8 +155,7 @@ class TestOpenService:
 class TestDeprecatedShims:
     def test_package_import_stays_warning_free(self):
         # The deprecation stubs are gone; nothing on the normal import
-        # surface (package, api, legacy class names, bench, cli) may
-        # bring one back.
+        # surface (package, api, bench, cli) may bring one back.
         import subprocess
         import sys
 
@@ -161,13 +165,22 @@ class TestDeprecatedShims:
                 "-W",
                 "error::DeprecationWarning",
                 "-c",
-                "import repro, repro.api, repro.protocols.legacy, "
-                "repro.bench, repro.cli",
+                "import repro, repro.api, repro.bench, repro.cli",
             ],
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0, result.stderr
+
+
+def test_no_class_per_pairing():
+    # A protocol is spec × backend, built by api.make_protocol; a
+    # SpecProtocol subclass is a pairing restated as a class.
+    import repro.bench  # noqa: F401
+    import repro.cli  # noqa: F401
+    from repro.backends import SpecProtocol
+
+    assert SpecProtocol.__subclasses__() == []
 
 
 def test_api_is_reexported_from_package():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro.api as api
 from repro.backends import (
     BACKEND_REGISTRY,
     BackendError,
@@ -12,7 +13,6 @@ from repro.backends import (
     resolve_backend,
     supported_backends,
 )
-from repro.core.scheduler import DeclarativeScheduler
 from repro.protocols.base import Protocol
 from repro.protocols.spec import (
     ProtocolSpec,
@@ -84,15 +84,15 @@ class TestSpecProtocolAdapter:
             assert decision.qualified == [], backend
             assert 1 in decision.denials, backend
 
-    def test_scheduler_for_spec_names(self):
-        scheduler = DeclarativeScheduler.for_spec("ss2pl", "imperative")
+    def test_make_scheduler_resolves_names(self):
+        scheduler = api.make_scheduler("ss2pl", "imperative")
         scheduler.submit(request(1, 1, 0, "r", 5))
         result = scheduler.step()
         assert [r.id for r in result.qualified] == [1]
         with pytest.raises(BackendError):
-            DeclarativeScheduler.for_spec("ss2pl", "bogus")
+            api.make_scheduler("ss2pl", "bogus")
         with pytest.raises(KeyError):
-            DeclarativeScheduler.for_spec("bogus")
+            api.make_scheduler("bogus")
 
 
 class TestSharedDeltaPlan:
@@ -169,20 +169,13 @@ class TestCustomSpec:
             SPEC_REGISTRY.pop("writes-only-test", None)
 
 
-class TestListing1ShimCompat:
-    def test_explain_works_in_both_evaluation_modes(self):
-        # Regression: EXPLAIN (and ._plans) must survive compiled=False,
-        # as before the spec/backend split.
-        from repro.protocols.legacy import PaperListing1Protocol
-
+class TestCompiledEvaluator:
+    def test_explain_and_plan_cache_through_evaluator(self):
         requests = empty_requests_table()
         history = empty_history_table()
-        for protocol in (
-            PaperListing1Protocol(compiled=True),
-            PaperListing1Protocol(compiled=False),
-        ):
-            plan_text = protocol.explain(requests, history)
-            assert "AntiJoin" in plan_text
-            assert len(protocol._plans) == 1
-            protocol.reset()
-            assert len(protocol._plans) == 0
+        protocol = api.make_protocol("ss2pl-listing1", "compiled")
+        plan_text = protocol.evaluator.explain(requests, history)
+        assert "AntiJoin" in plan_text
+        assert len(protocol.evaluator.plans) == 1
+        protocol.reset()
+        assert len(protocol.evaluator.plans) == 0

@@ -3,6 +3,7 @@ run under pytest-benchmark; these tests pin the logic)."""
 
 import pytest
 
+import repro.api as api
 from repro.bench.crossover import CrossoverPoint, sweep_crossover
 from repro.bench.declarative_overhead import (
     OverheadPoint,
@@ -11,7 +12,6 @@ from repro.bench.declarative_overhead import (
 )
 from repro.bench.figure2 import Figure2Point, sweep_native
 from repro.bench.incremental_ablation import drive_steps
-from repro.protocols.legacy import PaperListing1Protocol
 
 
 class TestPaperSnapshot:
@@ -81,11 +81,11 @@ class TestSweeps:
 class TestDriveSteps:
     def test_progress_and_determinism(self):
         a = drive_steps(
-            PaperListing1Protocol(), clients=20, steps=8,
+            api.make_protocol("ss2pl-listing1"), clients=20, steps=8,
             ops_per_txn=3, table_rows=100, seed=5,
         )
         b = drive_steps(
-            PaperListing1Protocol(), clients=20, steps=8,
+            api.make_protocol("ss2pl-listing1"), clients=20, steps=8,
             ops_per_txn=3, table_rows=100, seed=5,
         )
         assert a.batches == b.batches

@@ -13,6 +13,19 @@ class TestList:
             assert experiment_id in out
         assert "ss2pl" in out and "fcfs" in out
 
+    def test_every_listed_protocol_is_one_protocol_flag_accepts(self, capsys):
+        import repro.api as api
+
+        assert main(["list"]) == 0
+        section = capsys.readouterr().out.split("registered protocols:\n")[1]
+        names = [
+            line.split()[0]
+            for line in section.split("\n\n")[0].splitlines()
+        ]
+        assert names == api.spec_names()
+        for name in names:
+            assert api.make_protocol(name).spec.name == name
+
 
 class TestRun:
     def test_run_quick_table_experiments(self, capsys):
@@ -48,7 +61,7 @@ class TestSql:
         assert "SQL error" in capsys.readouterr().err
 
     def test_listing1_via_cli(self, capsys):
-        from repro.protocols.legacy import LISTING1_SQL
+        from repro.protocols.library import LISTING1_SQL
 
         assert main(["sql", LISTING1_SQL]) == 0
         out = capsys.readouterr().out
@@ -125,6 +138,25 @@ class TestBackendSelection:
         assert main(["demo", "--protocol", "bogus"]) == 2
         err = capsys.readouterr().err
         assert "unknown protocol 'bogus'" in err and "ss2pl" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo"],
+            ["demo", "--backend", "compiled"],
+            ["bench"],
+            ["serve"],
+            ["run", "E14", "--quick"],
+        ],
+        ids=["demo", "demo-backend", "bench", "serve", "run"],
+    )
+    def test_malformed_adaptive_is_a_usage_error(self, argv, capsys):
+        assert main(argv + ["--protocol", "adaptive:ss2pl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "adaptive protocol needs 'adaptive:<strict>,<relaxed>'"
+        )
+        assert len(err.splitlines()) == 1
 
     def test_demo_unsupported_pairing_reports_cleanly(self, capsys):
         assert main(["demo", "--protocol", "c2pl", "--backend",

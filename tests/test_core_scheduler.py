@@ -2,9 +2,9 @@
 
 import pytest
 
+import repro.api as api
 from repro.core.passthrough import PassthroughScheduler
 from repro.core.scheduler import (
-    DeclarativeScheduler,
     SchedulerConfig,
     SchedulerCostModel,
 )
@@ -12,8 +12,6 @@ from repro.core.triggers import FillLevelTrigger, HybridTrigger, TimeLapseTrigge
 from repro.metrics.collector import MetricsCollector
 from repro.model.request import make_transaction
 from repro.model.schedule import Schedule, is_conflict_serializable, is_strict
-from repro.protocols.fcfs import FCFSProtocol
-from repro.protocols.legacy import SS2PLRelalgProtocol
 
 from tests.conftest import request
 
@@ -26,7 +24,7 @@ def submit_transactions(scheduler, *txns):
 
 class TestStep:
     def test_step_moves_qualified_to_history(self):
-        scheduler = DeclarativeScheduler(FCFSProtocol())
+        scheduler = api.make_scheduler("fcfs")
         submit_transactions(
             scheduler, make_transaction(1, [("r", 1)], start_id=1)
         )
@@ -37,8 +35,8 @@ class TestStep:
         assert len(scheduler.history) == 0
 
     def test_prune_disabled_keeps_history(self):
-        scheduler = DeclarativeScheduler(
-            FCFSProtocol(), config=SchedulerConfig(prune_history=False)
+        scheduler = api.make_scheduler(
+            "fcfs", config=SchedulerConfig(prune_history=False)
         )
         submit_transactions(
             scheduler, make_transaction(1, [("r", 1)], start_id=1)
@@ -47,7 +45,7 @@ class TestStep:
         assert len(scheduler.history) == 2
 
     def test_blocked_requests_stay_pending(self):
-        scheduler = DeclarativeScheduler(SS2PLRelalgProtocol())
+        scheduler = api.make_scheduler("ss2pl")
         # T1 holds a write lock (open transaction in history).
         scheduler.history.record_batch([request(1, 1, 0, "w", 5)])
         scheduler.submit(request(2, 2, 0, "r", 5))
@@ -56,7 +54,7 @@ class TestStep:
         assert len(scheduler.pending) == 1
 
     def test_unblocking_after_commit(self):
-        scheduler = DeclarativeScheduler(SS2PLRelalgProtocol())
+        scheduler = api.make_scheduler("ss2pl")
         scheduler.history.record_batch([request(1, 1, 0, "w", 5)])
         scheduler.submit(request(2, 2, 0, "r", 5))
         scheduler.step()
@@ -66,8 +64,8 @@ class TestStep:
         assert [r.id for r in result.qualified] == [2]
 
     def test_max_batch_limits_dispatch(self):
-        scheduler = DeclarativeScheduler(
-            FCFSProtocol(), config=SchedulerConfig(max_batch=1)
+        scheduler = api.make_scheduler(
+            "fcfs", config=SchedulerConfig(max_batch=1)
         )
         submit_transactions(
             scheduler, make_transaction(1, [("r", 1), ("r", 2)], start_id=1)
@@ -78,7 +76,7 @@ class TestStep:
 
     def test_metrics_recorded(self):
         metrics = MetricsCollector()
-        scheduler = DeclarativeScheduler(FCFSProtocol(), metrics=metrics)
+        scheduler = api.make_scheduler("fcfs", metrics=metrics)
         submit_transactions(
             scheduler, make_transaction(1, [("r", 1)], start_id=1)
         )
@@ -88,8 +86,8 @@ class TestStep:
         assert metrics.counters["scheduler.submitted"] == 2
 
     def test_should_run_respects_trigger(self):
-        scheduler = DeclarativeScheduler(
-            FCFSProtocol(), trigger=FillLevelTrigger(3)
+        scheduler = api.make_scheduler(
+            "fcfs", trigger=FillLevelTrigger(3)
         )
         scheduler.submit(request(1, 1, 0, "r", 5))
         assert not scheduler.should_run(0.0)
@@ -98,7 +96,7 @@ class TestStep:
         assert scheduler.should_run(0.0)
 
     def test_should_run_false_when_empty(self):
-        scheduler = DeclarativeScheduler(FCFSProtocol())
+        scheduler = api.make_scheduler("fcfs")
         assert not scheduler.should_run(100.0)
 
 
@@ -107,7 +105,7 @@ class TestBlockedPendingPacing:
     unconditionally (the E7 busy-poll bug)."""
 
     def _blocked_scheduler(self, trigger):
-        scheduler = DeclarativeScheduler(SS2PLRelalgProtocol(), trigger=trigger)
+        scheduler = api.make_scheduler("ss2pl", trigger=trigger)
         # T1 holds a write lock; T2's read is blocked behind it.
         scheduler.history.record_batch([request(1, 1, 0, "w", 5)])
         scheduler.submit(request(2, 2, 0, "r", 5), now=0.0)
@@ -152,7 +150,7 @@ class TestBlockedPendingPacing:
 
 class TestRunUntilDrained:
     def test_emits_serializable_strict_schedule(self):
-        scheduler = DeclarativeScheduler(SS2PLRelalgProtocol())
+        scheduler = api.make_scheduler("ss2pl")
         submit_transactions(
             scheduler,
             make_transaction(1, [("r", 1), ("w", 1)], start_id=1),
@@ -167,7 +165,7 @@ class TestRunUntilDrained:
         assert is_strict(emitted)
 
     def test_stall_detection(self):
-        scheduler = DeclarativeScheduler(SS2PLRelalgProtocol())
+        scheduler = api.make_scheduler("ss2pl")
         # A pending request permanently blocked by an open transaction
         # that never commits.
         scheduler.history.record_batch([request(1, 1, 0, "w", 5)])

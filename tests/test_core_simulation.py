@@ -2,12 +2,10 @@
 
 import pytest
 
+import repro.api as api
 from repro.core.simulation import MiddlewareSimulation
 from repro.core.triggers import FillLevelTrigger, HybridTrigger
-from repro.protocols.fcfs import FCFSProtocol
-from repro.protocols.relaxed import ReadCommittedProtocol
 from repro.protocols.sla import SLAOrderingProtocol
-from repro.protocols.legacy import SS2PLRelalgProtocol
 from repro.workload.clients import ClientPopulation, SLA_TIERS
 from repro.workload.spec import WorkloadSpec
 
@@ -28,7 +26,7 @@ def run(protocol, clients=10, duration=2.0, seed=1, **kwargs):
 
 class TestIntegrity:
     def test_counts_are_consistent(self):
-        result = run(SS2PLRelalgProtocol())
+        result = run(api.make_protocol("ss2pl"))
         assert result.completed_statements > 0
         assert result.committed_transactions > 0
         # Committed txns imply their statements completed.
@@ -38,26 +36,26 @@ class TestIntegrity:
         )
 
     def test_determinism(self):
-        a = run(SS2PLRelalgProtocol(), seed=7)
-        b = run(SS2PLRelalgProtocol(), seed=7)
+        a = run(api.make_protocol("ss2pl"), seed=7)
+        b = run(api.make_protocol("ss2pl"), seed=7)
         assert a.completed_statements == b.completed_statements
         assert a.committed_transactions == b.committed_transactions
         assert a.scheduler_runs == b.scheduler_runs
 
     def test_scheduler_cost_accumulates(self):
-        result = run(SS2PLRelalgProtocol())
+        result = run(api.make_protocol("ss2pl"))
         assert result.scheduler_runs > 0
         assert result.scheduler_cost > 0
         assert result.mean_batch_size > 0
 
     def test_response_times_recorded(self):
-        result = run(FCFSProtocol())
+        result = run(api.make_protocol("fcfs"))
         assert result.mean_response() > 0
 
     def test_invalid_clients(self):
         with pytest.raises(ValueError):
             MiddlewareSimulation(
-                protocol=FCFSProtocol(),
+                protocol=api.make_protocol("fcfs"),
                 trigger=FillLevelTrigger(1),
                 spec=SPEC,
                 clients=0,
@@ -66,20 +64,23 @@ class TestIntegrity:
 
 class TestProtocolOrdering:
     def test_fcfs_outperforms_ss2pl(self):
-        fcfs = run(FCFSProtocol(), clients=20, duration=3.0)
-        ss2pl = run(SS2PLRelalgProtocol(), clients=20, duration=3.0)
+        fcfs = run(api.make_protocol("fcfs"), clients=20, duration=3.0)
+        ss2pl = run(api.make_protocol("ss2pl"), clients=20, duration=3.0)
         assert fcfs.completed_statements >= ss2pl.completed_statements
 
     def test_relaxed_at_least_as_fast_as_strict_under_contention(self):
         hot = WorkloadSpec(reads_per_txn=4, writes_per_txn=4, table_rows=60)
-        strict = run(SS2PLRelalgProtocol(), clients=15, duration=3.0, spec=hot)
-        relaxed = run(ReadCommittedProtocol(), clients=15, duration=3.0, spec=hot)
+        strict = run(api.make_protocol("ss2pl"), clients=15, duration=3.0, spec=hot)
+        relaxed = run(
+            api.make_protocol("read-committed", "datalog"),
+            clients=15, duration=3.0, spec=hot,
+        )
         assert relaxed.completed_statements >= strict.completed_statements * 0.9
 
     def test_ss2pl_experiences_timeout_aborts_under_heat(self):
         hot = WorkloadSpec(reads_per_txn=2, writes_per_txn=6, table_rows=30)
         result = run(
-            SS2PLRelalgProtocol(), clients=15, duration=3.0, spec=hot,
+            api.make_protocol("ss2pl"), clients=15, duration=3.0, spec=hot,
             deadlock_timeout=0.2,
         )
         assert result.timeout_aborts > 0
@@ -89,11 +90,11 @@ class TestSLA:
     def test_premium_faster_with_sla_layer(self):
         population = ClientPopulation(SLA_TIERS)
         base = run(
-            SS2PLRelalgProtocol(), clients=20, duration=3.0,
+            api.make_protocol("ss2pl"), clients=20, duration=3.0,
             attrs_for_client=population.attributes_for,
         )
         sla = run(
-            SLAOrderingProtocol(SS2PLRelalgProtocol()), clients=20,
+            SLAOrderingProtocol(api.make_protocol("ss2pl")), clients=20,
             duration=3.0, attrs_for_client=population.attributes_for,
         )
         assert sla.mean_response("premium") < base.mean_response("premium")
@@ -102,7 +103,7 @@ class TestSLA:
     def test_tier_samples_collected(self):
         population = ClientPopulation(SLA_TIERS)
         result = run(
-            SS2PLRelalgProtocol(), clients=10, duration=2.0,
+            api.make_protocol("ss2pl"), clients=10, duration=2.0,
             attrs_for_client=population.attributes_for,
         )
         assert set(result.response_times) == {"premium", "free"}

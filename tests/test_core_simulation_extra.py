@@ -3,12 +3,11 @@ loop, batch caps, trigger interplay, and denial explanations."""
 
 import pytest
 
+import repro.api as api
 from repro.core.scheduler import SchedulerConfig
 from repro.core.simulation import MiddlewareSimulation
 from repro.core.triggers import FillLevelTrigger, HybridTrigger, TimeLapseTrigger
 from repro.protocols.adaptive import AdaptiveConsistencyProtocol
-from repro.protocols.relaxed import ReadCommittedProtocol
-from repro.protocols.legacy import SS2PLDatalogProtocol, SS2PLRelalgProtocol
 from repro.workload.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(reads_per_txn=3, writes_per_txn=3, table_rows=400)
@@ -17,8 +16,8 @@ SPEC = WorkloadSpec(reads_per_txn=3, writes_per_txn=3, table_rows=400)
 class TestAdaptiveInTheLoop:
     def test_adaptive_runs_and_reports_switches(self):
         protocol = AdaptiveConsistencyProtocol(
-            strict=SS2PLRelalgProtocol(),
-            relaxed=ReadCommittedProtocol(),
+            strict=api.make_protocol("ss2pl"),
+            relaxed=api.make_protocol("read-committed", "datalog"),
             high_watermark=15,
             low_watermark=5,
         )
@@ -39,7 +38,7 @@ class TestAdaptiveInTheLoop:
 class TestSchedulerConfigInLoop:
     def test_max_batch_respected(self):
         simulation = MiddlewareSimulation(
-            protocol=SS2PLRelalgProtocol(),
+            protocol=api.make_protocol("ss2pl"),
             trigger=FillLevelTrigger(10),
             spec=SPEC,
             clients=20,
@@ -52,7 +51,7 @@ class TestSchedulerConfigInLoop:
 
     def test_no_pruning_grows_history(self):
         keep = MiddlewareSimulation(
-            protocol=SS2PLRelalgProtocol(),
+            protocol=api.make_protocol("ss2pl"),
             trigger=HybridTrigger(0.02, 10),
             spec=SPEC,
             clients=10,
@@ -66,7 +65,7 @@ class TestSchedulerConfigInLoop:
 class TestTriggerInterplay:
     def test_pure_time_trigger_progresses(self):
         simulation = MiddlewareSimulation(
-            protocol=SS2PLRelalgProtocol(),
+            protocol=api.make_protocol("ss2pl"),
             trigger=TimeLapseTrigger(0.01),
             spec=SPEC,
             clients=10,
@@ -77,7 +76,7 @@ class TestTriggerInterplay:
 
     def test_pure_fill_trigger_progresses(self):
         simulation = MiddlewareSimulation(
-            protocol=SS2PLRelalgProtocol(),
+            protocol=api.make_protocol("ss2pl"),
             trigger=FillLevelTrigger(10),
             spec=SPEC,
             clients=10,
@@ -90,7 +89,7 @@ class TestTriggerInterplay:
         # Threshold larger than the client count: only the blocked-work
         # re-check path can fire the scheduler; the run must not stall.
         simulation = MiddlewareSimulation(
-            protocol=SS2PLRelalgProtocol(),
+            protocol=api.make_protocol("ss2pl"),
             trigger=HybridTrigger(0.05, 10_000),
             spec=SPEC,
             clients=10,
@@ -104,17 +103,19 @@ class TestDenialExplanations:
     def test_datalog_protocol_explains_denials(self):
         from tests.conftest import empty_history_table, empty_requests_table, request
 
-        protocol = SS2PLDatalogProtocol()
+        protocol = api.make_protocol("ss2pl-listing1", "datalog")
         requests = empty_requests_table()
         history = empty_history_table()
         history.insert(request(1, 1, 0, "w", 5).as_row())
         requests.insert(request(7, 2, 0, "r", 5).as_row())
         decision = protocol.schedule(requests, history)
         assert 7 in decision.denials
-        explanation = protocol.explain_denial(7)
+        explanation = protocol.evaluator.explain_denial(7)
         assert "wlocked" in explanation
         assert "no fact finished" in explanation
 
     def test_explain_before_schedule_raises(self):
         with pytest.raises(RuntimeError, match="no schedule"):
-            SS2PLDatalogProtocol().explain_denial(1)
+            api.make_protocol(
+                "ss2pl-listing1", "datalog"
+            ).evaluator.explain_denial(1)

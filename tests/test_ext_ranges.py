@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api as api
 from repro.ext.ranges import (
     RangeRequest,
     RangeSS2PLProtocol,
@@ -13,7 +14,6 @@ from repro.ext.ranges import (
     make_range_tables,
 )
 from repro.model.request import Operation
-from repro.protocols.legacy import PaperListing1Protocol
 
 from tests.conftest import empty_history_table, empty_requests_table
 
@@ -89,7 +89,7 @@ class TestRangeProtocol:
     def test_point_ranges_match_listing1(self):
         """On lo==hi workloads, ranges degenerate to Listing 1."""
         rng = random.Random(3)
-        reference = PaperListing1Protocol()
+        reference = api.make_protocol("ss2pl-listing1")
         for __ in range(10):
             point_requests = empty_requests_table()
             point_history = empty_history_table()

@@ -4,11 +4,9 @@ import random
 
 import pytest
 
+import repro.api as api
 from repro.backends import build_protocol
-from repro.core.scheduler import (
-    DeclarativeScheduler,
-    SchedulerStalledError,
-)
+from repro.core.scheduler import SchedulerStalledError
 from repro.core.simulation import MiddlewareSimulation
 from repro.core.triggers import FillLevelTrigger
 from repro.faults import (
@@ -238,7 +236,7 @@ def _two_blocked_writers(scheduler):
 
 class TestSchedulerRecovery:
     def test_timeout_abort_releases_blocker(self):
-        scheduler = DeclarativeScheduler.for_spec(
+        scheduler = api.make_scheduler(
             "ss2pl", recovery=RecoveryPolicy(request_timeout=0.1)
         )
         _two_blocked_writers(scheduler)
@@ -252,7 +250,7 @@ class TestSchedulerRecovery:
 
     def test_backoff_widens_timeouts_per_client(self):
         policy = RecoveryPolicy(request_timeout=0.1, backoff_factor=4.0)
-        scheduler = DeclarativeScheduler.for_spec("ss2pl", recovery=policy)
+        scheduler = api.make_scheduler("ss2pl", recovery=policy)
         _two_blocked_writers(scheduler)
         scheduler.step(0.0)
         step = scheduler.step(0.2)
@@ -270,7 +268,7 @@ class TestSchedulerRecovery:
 
     def test_orphan_reaped_after_lease(self):
         policy = RecoveryPolicy(request_timeout=10.0, orphan_lease=0.5)
-        scheduler = DeclarativeScheduler.for_spec("ss2pl", recovery=policy)
+        scheduler = api.make_scheduler("ss2pl", recovery=policy)
         txn = make_transaction(1, [("w", 5)], terminate="", start_id=1)
         for r in txn:
             scheduler.submit(r, 0.0)
@@ -293,7 +291,7 @@ class TestSchedulerRecovery:
         on it never ran the recovery sweep, and an orphaned transaction
         whose client died after dispatch held its locks forever."""
         policy = RecoveryPolicy(request_timeout=10.0, orphan_lease=0.5)
-        scheduler = DeclarativeScheduler.for_spec("ss2pl", recovery=policy)
+        scheduler = api.make_scheduler("ss2pl", recovery=policy)
         txn = make_transaction(1, [("w", 5)], terminate="", start_id=1)
         for r in txn:
             scheduler.submit(r, 0.0)
@@ -316,7 +314,7 @@ class TestSchedulerRecovery:
 
     def test_recovered_client_new_transactions_not_reaped(self):
         policy = RecoveryPolicy(request_timeout=10.0, orphan_lease=0.5)
-        scheduler = DeclarativeScheduler.for_spec("ss2pl", recovery=policy)
+        scheduler = api.make_scheduler("ss2pl", recovery=policy)
         scheduler.note_client_crashed(0, 0.0)
         scheduler.note_client_recovered(0)
         txn = make_transaction(1, [("w", 5)], terminate="", start_id=1)
@@ -327,7 +325,7 @@ class TestSchedulerRecovery:
         assert not step.recovery.orphans
 
     def test_admission_sheds_on_overflow(self):
-        scheduler = DeclarativeScheduler.for_spec(
+        scheduler = api.make_scheduler(
             "ss2pl", admission=AdmissionPolicy(max_pending=2)
         )
         for ta in range(1, 5):
@@ -341,7 +339,7 @@ class TestSchedulerRecovery:
         assert step.batch_size == 2  # survivors all get distinct objects
 
     def test_abort_transaction_public_api(self):
-        scheduler = DeclarativeScheduler.for_spec("ss2pl")
+        scheduler = api.make_scheduler("ss2pl")
         txn = make_transaction(1, [("w", 5)], terminate="", start_id=1)
         for r in txn:
             scheduler.submit(r, 0.0)
@@ -357,7 +355,7 @@ class TestSchedulerRecovery:
 
 class TestSchedulerStalledError:
     def test_carries_snapshot_and_denials(self):
-        scheduler = DeclarativeScheduler.for_spec("ss2pl")
+        scheduler = api.make_scheduler("ss2pl")
         scheduler.history.record_batch([request(1, 1, 0, "w", 5)])
         scheduler.submit(request(2, 2, 0, "w", 5))
         with pytest.raises(SchedulerStalledError) as excinfo:
@@ -370,7 +368,7 @@ class TestSchedulerStalledError:
         assert "id=2" in error.describe()
 
     def test_recovery_converts_stall_into_abort(self):
-        scheduler = DeclarativeScheduler.for_spec(
+        scheduler = api.make_scheduler(
             "ss2pl", recovery=RecoveryPolicy(request_timeout=0.5)
         )
         scheduler.history.record_batch([request(1, 1, 0, "w", 5)])
@@ -404,7 +402,7 @@ class TestInvariantMonitor:
         assert excinfo.value.kind == "double-terminal"
 
     def test_granted_but_never_submitted_is_lost(self):
-        scheduler = DeclarativeScheduler.for_spec("ss2pl")
+        scheduler = api.make_scheduler("ss2pl")
         monitor = InvariantMonitor()
         scheduler.monitor = monitor
         # Bypass submit(): the request appears in pending without the
@@ -419,7 +417,7 @@ class TestInvariantMonitor:
 
         class FakeScheduler:
             steps_run = 1
-            history = DeclarativeScheduler.for_spec("ss2pl").history
+            history = api.make_scheduler("ss2pl").history
 
         class FakeResult:
             qualified = [request(1, 1, 1, "w", 5), request(2, 1, 0, "w", 6)]
@@ -432,7 +430,7 @@ class TestInvariantMonitor:
 
     def test_conflicting_grants_detected(self):
         monitor = InvariantMonitor(SS2PL_LOCKS)
-        scheduler = DeclarativeScheduler.for_spec("fcfs")  # no locking!
+        scheduler = api.make_scheduler("fcfs")  # no locking!
         scheduler.monitor = monitor
         # Two concurrent writers of one object: fine under fcfs, but a
         # violation of the SS2PL lock model the monitor was given.

@@ -10,6 +10,7 @@ implementation of the theory (repro.model.schedule).
 
 import pytest
 
+import repro.api as api
 from repro.core.simulation import MiddlewareSimulation
 from repro.core.triggers import HybridTrigger
 from repro.model.schedule import (
@@ -17,10 +18,6 @@ from repro.model.schedule import (
     is_conflict_serializable,
     is_legal_ss2pl_order,
     is_strict,
-)
-from repro.protocols.legacy import (
-    SS2PLIncrementalProtocol,
-    SS2PLRelalgProtocol,
 )
 from repro.server.engine import SimulatedDBMS
 from repro.workload.spec import WorkloadSpec
@@ -61,14 +58,14 @@ class TestNativeSchedulerCorrectness:
 
 class TestMiddlewareCorrectness:
     @pytest.mark.parametrize(
-        "protocol_factory",
-        [SS2PLRelalgProtocol, SS2PLIncrementalProtocol],
+        "pairing",
+        [("ss2pl", "compiled"), ("ss2pl-listing1", "incremental")],
         ids=["relalg", "incremental"],
     )
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_dispatch_order_is_ss2pl_legal(self, protocol_factory, seed):
+    def test_dispatch_order_is_ss2pl_legal(self, pairing, seed):
         simulation = MiddlewareSimulation(
-            protocol=protocol_factory(),
+            protocol=api.make_protocol(*pairing),
             trigger=HybridTrigger(0.02, 10),
             spec=HOT,
             clients=12,
@@ -85,7 +82,7 @@ class TestMiddlewareCorrectness:
     def test_aborts_appear_in_trace(self):
         very_hot = WorkloadSpec(reads_per_txn=1, writes_per_txn=5, table_rows=10)
         simulation = MiddlewareSimulation(
-            protocol=SS2PLRelalgProtocol(),
+            protocol=api.make_protocol("ss2pl"),
             trigger=HybridTrigger(0.02, 10),
             spec=very_hot,
             clients=10,
@@ -112,7 +109,7 @@ class TestCrossSchedulerAgreement:
             10, duration=2.0, record_trace=True
         )
         middleware = MiddlewareSimulation(
-            protocol=SS2PLRelalgProtocol(),
+            protocol=api.make_protocol("ss2pl"),
             trigger=HybridTrigger(0.02, 10),
             spec=HOT,
             clients=10,

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
+import repro.api as api
 from repro.lang.ast import Condition, DenyRule, OrderBy
 from repro.lang.compiler import compile_spec
 from repro.lang.parser import SDLSyntaxError, parse_sdl
 from repro.lang.protocol import SDL_READ_COMMITTED, SDL_SS2PL, SDLProtocol
-from repro.protocols.relaxed import ReadCommittedProtocol
-from repro.protocols.legacy import PaperListing1Protocol
 
 from tests.conftest import random_scheduling_instance
 
@@ -109,7 +108,7 @@ class TestCompiler:
 
 class TestProtocolEquivalence:
     def test_sdl_ss2pl_equals_listing1(self, rng):
-        reference = PaperListing1Protocol()
+        reference = api.make_protocol("ss2pl-listing1")
         sdl = SDLProtocol(SDL_SS2PL)
         for __ in range(25):
             requests, history = random_scheduling_instance(rng)
@@ -118,7 +117,7 @@ class TestProtocolEquivalence:
             assert actual == expected
 
     def test_sdl_read_committed_equals_datalog_variant(self, rng):
-        reference = ReadCommittedProtocol()
+        reference = api.make_protocol("read-committed", "datalog")
         sdl = SDLProtocol(SDL_READ_COMMITTED)
         for __ in range(25):
             requests, history = random_scheduling_instance(rng)

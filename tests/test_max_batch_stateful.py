@@ -2,28 +2,31 @@
 
 The scheduler truncates the qualified set *before* removing from
 pending, recording into history, and calling ``observe_executed`` — so
-a stateful evaluator (incremental lock views, imperative lock walk)
-must only ever see the dispatched prefix.  These tests pin that
-contract: truncated-out requests stay pending, every backend emits the
-identical truncated sequence, and re-evaluation re-qualifies the
-leftovers on the next step.
+a stateful evaluator (maintained delta plans, incremental lock views,
+imperative lock walk) must only ever see the dispatched prefix.  These
+tests pin that contract: truncated-out requests stay pending, every
+backend emits the identical truncated sequence, and re-evaluation
+re-qualifies the leftovers on the next step.
 """
 
 import random
 
 import pytest
 
+import repro.api as api
 from repro.core.scheduler import DeclarativeScheduler, SchedulerConfig
 from repro.model.request import make_transaction
 from repro.model.schedule import Schedule, is_conflict_serializable, is_strict
 
 #: Every backend that can lower the flagship spec, stateless and stateful.
-BACKENDS = ("interpreted", "compiled", "incremental", "imperative")
-STATEFUL = ("incremental", "imperative")
+BACKENDS = (
+    "interpreted", "compiled", "compiled-delta", "incremental", "imperative"
+)
+STATEFUL = ("compiled-delta", "incremental", "imperative")
 
 
 def build_scheduler(backend: str, max_batch=None) -> DeclarativeScheduler:
-    return DeclarativeScheduler.for_spec(
+    return api.make_scheduler(
         "ss2pl", backend, config=SchedulerConfig(max_batch=max_batch)
     )
 

@@ -5,15 +5,11 @@ import random
 
 import pytest
 
+import repro.api as api
 from repro.bench.incremental_ablation import drive_steps
 from repro.core.scheduler import DeclarativeScheduler
 from repro.model.request import Request
-from repro.protocols.fcfs import FCFSProtocol
-from repro.protocols.legacy import (
-    PaperListing1Protocol,
-    SS2PLIncrementalProtocol,
-    SS2PLRelalgProtocol,
-)
+from repro.protocols.base import Protocol
 from repro.protocols.library import listing1_pipeline, listing1_query
 from repro.relalg.expressions import col, compile_expr, is_null, lit, or_
 from repro.relalg.plan import (
@@ -308,8 +304,8 @@ class TestListing1Compiled:
             pending_store.table, history_store.table
         )["qualified_requests"].rows
         compiled = (
-            PaperListing1Protocol(compiled=True)
-            ._plans.get(pending_store.table, history_store.table)
+            api.make_protocol("ss2pl-listing1", "compiled")
+            .evaluator.plans.get(pending_store.table, history_store.table)
             .execute()
             .rows
         )
@@ -337,12 +333,14 @@ class TestRandomizedEquivalence:
                 seed=seed,
             )
             interpreted = drive_steps(
-                PaperListing1Protocol(compiled=False), **kwargs
+                api.make_protocol("ss2pl-listing1", "interpreted"), **kwargs
             )
             compiled = drive_steps(
-                PaperListing1Protocol(compiled=True), **kwargs
+                api.make_protocol("ss2pl-listing1", "compiled"), **kwargs
             )
-            incremental = drive_steps(SS2PLIncrementalProtocol(), **kwargs)
+            incremental = drive_steps(
+                api.make_protocol("ss2pl-listing1", "incremental"), **kwargs
+            )
             assert interpreted.batches == compiled.batches, (
                 f"trial {trial}: compiled diverged ({kwargs})"
             )
@@ -361,10 +359,10 @@ class TestRandomizedEquivalence:
                 seed=rng.randrange(10_000),
             )
             interpreted = drive_steps(
-                SS2PLRelalgProtocol(compiled=False), **kwargs
+                api.make_protocol("ss2pl", "interpreted"), **kwargs
             )
             compiled = drive_steps(
-                SS2PLRelalgProtocol(compiled=True), **kwargs
+                api.make_protocol("ss2pl", "compiled"), **kwargs
             )
             assert interpreted.batches == compiled.batches, (
                 f"trial {trial}: {kwargs}"
@@ -373,7 +371,7 @@ class TestRandomizedEquivalence:
 
 class TestSchedulerShortCircuit:
     def test_empty_pending_skips_protocol_query(self):
-        class ExplodingProtocol(FCFSProtocol):
+        class ExplodingProtocol(Protocol):
             def schedule(self, requests, history):  # pragma: no cover
                 raise AssertionError("protocol queried on empty pending")
 
@@ -384,7 +382,7 @@ class TestSchedulerShortCircuit:
         assert scheduler.steps_run == 1
 
     def test_nonempty_pending_still_queries(self):
-        scheduler = DeclarativeScheduler(FCFSProtocol())
+        scheduler = api.make_scheduler("fcfs")
         scheduler.submit(request(1, 1, 0, "r", 5))
         result = scheduler.step()
         assert [r.id for r in result.qualified] == [1]

@@ -12,16 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api as api
 from repro.baselines.imperative import ImperativeSS2PLScheduler
 from repro.lang.protocol import SDLProtocol, SDL_SS2PL
 from repro.model.history import HistoryView
 from repro.model.request import Request
-from repro.protocols.legacy import (
-    PaperListing1Protocol,
-    SS2PLDatalogProtocol,
-    SS2PLSqlProtocol,
-    SqlFrontendSS2PLProtocol,
-)
 
 from tests.conftest import (
     empty_history_table,
@@ -30,11 +25,11 @@ from tests.conftest import (
 )
 
 BACKENDS = [
-    PaperListing1Protocol(),
-    SS2PLDatalogProtocol(),
+    api.make_protocol("ss2pl-listing1"),
+    api.make_protocol("ss2pl-listing1", "datalog"),
     SDLProtocol(SDL_SS2PL),
-    SS2PLSqlProtocol(),
-    SqlFrontendSS2PLProtocol(),
+    api.make_protocol("ss2pl-listing1", "sqlite"),
+    api.make_protocol("ss2pl-listing1", "sqlfront"),
     ImperativeSS2PLScheduler(),
 ]
 
@@ -111,7 +106,9 @@ class TestQualifiedSetInvariants:
     def test_qualified_never_conflicts_with_held_locks(self, tables):
         requests, history = tables
         view = HistoryView(Request.from_row(row) for row in history.rows)
-        decision = PaperListing1Protocol().schedule(requests, history)
+        decision = api.make_protocol("ss2pl-listing1").schedule(
+            requests, history
+        )
         for qualified in decision.qualified:
             assert not view.would_conflict(qualified), (
                 f"{qualified} conflicts with history locks"
@@ -121,7 +118,9 @@ class TestQualifiedSetInvariants:
     @settings(max_examples=60, deadline=None)
     def test_qualified_set_is_internally_conflict_free(self, tables):
         requests, history = tables
-        decision = PaperListing1Protocol().schedule(requests, history)
+        decision = api.make_protocol("ss2pl-listing1").schedule(
+            requests, history
+        )
         qualified = decision.qualified
         for i, a in enumerate(qualified):
             for b in qualified[i + 1:]:
@@ -131,11 +130,14 @@ class TestQualifiedSetInvariants:
     @settings(max_examples=60, deadline=None)
     def test_backends_agree_property(self, tables):
         requests, history = tables
+        listing1 = api.make_protocol("ss2pl-listing1")
         reference = sorted(
-            r.id
-            for r in PaperListing1Protocol().schedule(requests, history).qualified
+            r.id for r in listing1.schedule(requests, history).qualified
         )
-        for protocol in (SS2PLDatalogProtocol(), ImperativeSS2PLScheduler()):
+        for protocol in (
+            api.make_protocol("ss2pl-listing1", "datalog"),
+            ImperativeSS2PLScheduler(),
+        ):
             ids = sorted(
                 r.id for r in protocol.schedule(requests, history).qualified
             )

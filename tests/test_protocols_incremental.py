@@ -2,12 +2,9 @@
 
 import random
 
+import repro.api as api
 from repro.core.scheduler import DeclarativeScheduler, SchedulerConfig
 from repro.model.request import make_transaction
-from repro.protocols.legacy import (
-    PaperListing1Protocol,
-    SS2PLIncrementalProtocol,
-)
 
 from tests.conftest import (
     empty_history_table,
@@ -18,11 +15,11 @@ from tests.conftest import (
 
 class TestResyncEquivalence:
     def test_one_shot_equivalence_after_resync(self, rng):
-        reference = PaperListing1Protocol()
+        reference = api.make_protocol("ss2pl-listing1")
         for __ in range(20):
             requests, history = random_scheduling_instance(rng)
-            incremental = SS2PLIncrementalProtocol()
-            incremental.resync(history)
+            incremental = api.make_protocol("ss2pl-listing1", "incremental")
+            incremental.evaluator.resync(history)
             expected = sorted(
                 r.id for r in reference.schedule(requests, history).qualified
             )
@@ -34,42 +31,42 @@ class TestResyncEquivalence:
 
 class TestIncrementalState:
     def test_observe_executed_tracks_locks(self):
-        protocol = SS2PLIncrementalProtocol()
-        protocol.observe_executed(
+        views = api.make_protocol("ss2pl-listing1", "incremental").evaluator
+        views.observe_executed(
             [request(1, 1, 0, "w", 5), request(2, 2, 0, "r", 6)]
         )
-        assert protocol._write_locks == {5: {1}}
-        assert protocol._read_locks == {6: {2}}
+        assert views._write_locks == {5: {1}}
+        assert views._read_locks == {6: {2}}
 
     def test_write_subsumes_own_read(self):
-        protocol = SS2PLIncrementalProtocol()
-        protocol.observe_executed(
+        views = api.make_protocol("ss2pl-listing1", "incremental").evaluator
+        views.observe_executed(
             [request(1, 1, 0, "r", 5), request(2, 1, 1, "w", 5)]
         )
-        assert protocol._read_locks.get(5, set()) == set()
-        assert protocol._write_locks == {5: {1}}
+        assert views._read_locks.get(5, set()) == set()
+        assert views._write_locks == {5: {1}}
 
     def test_commit_releases_locks(self):
-        protocol = SS2PLIncrementalProtocol()
-        protocol.observe_executed(
+        views = api.make_protocol("ss2pl-listing1", "incremental").evaluator
+        views.observe_executed(
             [request(1, 1, 0, "w", 5), request(2, 1, 1, "c")]
         )
-        assert protocol._write_locks == {}
+        assert views._write_locks == {}
 
     def test_prune_clears_bookkeeping(self):
-        protocol = SS2PLIncrementalProtocol()
-        protocol.observe_executed(
+        views = api.make_protocol("ss2pl-listing1", "incremental").evaluator
+        views.observe_executed(
             [request(1, 1, 0, "w", 5), request(2, 1, 1, "c")]
         )
-        protocol.observe_pruned({1})
-        assert protocol._writes_of == {}
-        assert 1 not in protocol._finished
+        views.observe_pruned({1})
+        assert views._writes_of == {}
+        assert 1 not in views._finished
 
     def test_reset(self):
-        protocol = SS2PLIncrementalProtocol()
-        protocol.observe_executed([request(1, 1, 0, "w", 5)])
-        protocol.reset()
-        assert protocol._write_locks == {}
+        views = api.make_protocol("ss2pl-listing1", "incremental").evaluator
+        views.observe_executed([request(1, 1, 0, "w", 5)])
+        views.reset()
+        assert views._write_locks == {}
 
 
 class TestSchedulerDrivenEquivalence:
@@ -80,18 +77,18 @@ class TestSchedulerDrivenEquivalence:
         from repro.bench.incremental_ablation import drive_steps
 
         recompute = drive_steps(
-            PaperListing1Protocol(),
+            api.make_protocol("ss2pl-listing1"),
             clients=40, steps=15, ops_per_txn=4, table_rows=200, seed=21,
         )
         incremental = drive_steps(
-            SS2PLIncrementalProtocol(),
+            api.make_protocol("ss2pl-listing1", "incremental"),
             clients=40, steps=15, ops_per_txn=4, table_rows=200, seed=21,
         )
         assert recompute.batches == incremental.batches
         assert recompute.total_qualified > 0
 
     def test_incremental_survives_pruning(self):
-        protocol = SS2PLIncrementalProtocol()
+        protocol = api.make_protocol("ss2pl-listing1", "incremental")
         scheduler = DeclarativeScheduler(
             protocol, config=SchedulerConfig(prune_history=True)
         )

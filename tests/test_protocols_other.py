@@ -2,19 +2,15 @@
 
 import pytest
 
+import repro.api as api
 from repro.core.stores import HistoryStore, PendingStore
 from repro.model.request import Operation, Request, RequestAttributes
 from repro.protocols.adaptive import AdaptiveConsistencyProtocol
-from repro.protocols.app_consistency import BoundedOversellProtocol
-from repro.protocols.base import PROTOCOL_REGISTRY
-from repro.protocols.c2pl import ConservativeTwoPLProtocol
-from repro.protocols.fcfs import FCFSProtocol
-from repro.protocols.relaxed import ReadCommittedProtocol
+from repro.protocols.library import make_bounded_oversell_spec
 from repro.protocols.sla import (
     EarliestDeadlineFirstProtocol,
     SLAOrderingProtocol,
 )
-from repro.protocols.legacy import SS2PLRelalgProtocol
 
 from tests.conftest import (
     empty_history_table,
@@ -38,7 +34,9 @@ class TestFCFS:
         requests_table, history_table = tables(
             [request(3, 2, 0, "w", 5), request(1, 1, 0, "w", 5)]
         )
-        decision = FCFSProtocol().schedule(requests_table, history_table)
+        decision = api.make_protocol("fcfs").schedule(
+            requests_table, history_table
+        )
         assert [r.id for r in decision.qualified] == [1, 3]
 
 
@@ -48,7 +46,7 @@ class TestC2PL:
         history = [request(1, 1, 0, "w", 5)]
         pending = [request(2, 2, 0, "r", 5), request(3, 2, 1, "w", 6)]
         requests_table, history_table = tables(pending, history)
-        decision = ConservativeTwoPLProtocol().schedule(
+        decision = api.make_protocol("c2pl").schedule(
             requests_table, history_table
         )
         assert decision.qualified == []
@@ -59,7 +57,7 @@ class TestC2PL:
         history = [request(1, 1, 0, "w", 5)]
         pending = [request(2, 1, 1, "w", 6)]
         requests_table, history_table = tables(pending, history)
-        decision = ConservativeTwoPLProtocol().schedule(
+        decision = api.make_protocol("c2pl").schedule(
             requests_table, history_table
         )
         assert [r.id for r in decision.qualified] == [2]
@@ -70,7 +68,7 @@ class TestC2PL:
             request(2, 2, 0, "w", 5),
         ]
         requests_table, history_table = tables(pending)
-        decision = ConservativeTwoPLProtocol().schedule(
+        decision = api.make_protocol("c2pl").schedule(
             requests_table, history_table
         )
         # Earlier TA wins the claim; later one waits entirely.
@@ -79,7 +77,7 @@ class TestC2PL:
     def test_disjoint_claims_coexist(self):
         pending = [request(1, 1, 0, "w", 5), request(2, 2, 0, "w", 6)]
         requests_table, history_table = tables(pending)
-        decision = ConservativeTwoPLProtocol().schedule(
+        decision = api.make_protocol("c2pl").schedule(
             requests_table, history_table
         )
         assert [r.id for r in decision.qualified] == [1, 2]
@@ -91,7 +89,7 @@ class TestReadCommitted:
         requests_table, history_table = tables(
             [request(2, 2, 0, "r", 5)], history
         )
-        decision = ReadCommittedProtocol().schedule(
+        decision = api.make_protocol("read-committed", "datalog").schedule(
             requests_table, history_table
         )
         assert [r.id for r in decision.qualified] == [2]
@@ -101,7 +99,7 @@ class TestReadCommitted:
         requests_table, history_table = tables(
             [request(2, 2, 0, "w", 5)], history
         )
-        decision = ReadCommittedProtocol().schedule(
+        decision = api.make_protocol("read-committed", "datalog").schedule(
             requests_table, history_table
         )
         assert decision.qualified == []
@@ -110,7 +108,7 @@ class TestReadCommitted:
         requests_table, history_table = tables(
             [request(1, 1, 0, "w", 5), request(2, 2, 0, "w", 5)]
         )
-        decision = ReadCommittedProtocol().schedule(
+        decision = api.make_protocol("read-committed", "datalog").schedule(
             requests_table, history_table
         )
         assert [r.id for r in decision.qualified] == [1]
@@ -133,20 +131,22 @@ class TestSLAOrdering:
 
     def test_priority_order(self):
         store = self._pending_with_priorities()
-        protocol = SLAOrderingProtocol(FCFSProtocol())
+        protocol = SLAOrderingProtocol(api.make_protocol("fcfs"))
         decision = protocol.schedule(store.table, HistoryStore().table)
         assert [r.id for r in decision.qualified] == [2, 1, 3]
 
     def test_reserve_share_caps_low_tier(self):
         store = self._pending_with_priorities()
-        protocol = SLAOrderingProtocol(FCFSProtocol(), reserve_share=0.4)
+        protocol = SLAOrderingProtocol(
+            api.make_protocol("fcfs"), reserve_share=0.4
+        )
         decision = protocol.schedule(store.table, HistoryStore().table)
         # cap = max(1, 3*0.4) = 1 low-tier request per batch.
         assert [r.id for r in decision.qualified] == [2, 1]
 
     def test_invalid_reserve_share(self):
         with pytest.raises(ValueError):
-            SLAOrderingProtocol(FCFSProtocol(), reserve_share=0.0)
+            SLAOrderingProtocol(api.make_protocol("fcfs"), reserve_share=0.0)
 
     def test_consistency_preserved_under_sla(self):
         store = PendingStore()
@@ -158,7 +158,7 @@ class TestSLAOrdering:
                         attrs=RequestAttributes(priority=9)),
             ]
         )
-        protocol = SLAOrderingProtocol(SS2PLRelalgProtocol())
+        protocol = SLAOrderingProtocol(api.make_protocol("ss2pl"))
         decision = protocol.schedule(store.table, HistoryStore().table)
         # The SLA layer only reorders what the inner protocol allowed:
         # T2's write still conflicts and must not be smuggled in.
@@ -177,7 +177,7 @@ class TestEDF:
                 Request(3, 3, 0, Operation.READ, 7),  # no deadline: last
             ]
         )
-        protocol = EarliestDeadlineFirstProtocol(FCFSProtocol())
+        protocol = EarliestDeadlineFirstProtocol(api.make_protocol("fcfs"))
         decision = protocol.schedule(store.table, HistoryStore().table)
         assert [r.id for r in decision.qualified] == [2, 1, 3]
 
@@ -191,7 +191,7 @@ class TestBoundedOversell:
         requests_table, history_table = tables(
             [request(3, 3, 0, "w", 5)], history
         )
-        decision = BoundedOversellProtocol(2).schedule(
+        decision = api.make_protocol(make_bounded_oversell_spec(2)).schedule(
             requests_table, history_table
         )
         assert decision.qualified == []
@@ -201,7 +201,7 @@ class TestBoundedOversell:
         requests_table, history_table = tables(
             [request(i, i, 0, "w", 5) for i in range(1, 6)]
         )
-        decision = BoundedOversellProtocol(3).schedule(
+        decision = api.make_protocol(make_bounded_oversell_spec(3)).schedule(
             requests_table, history_table
         )
         assert [r.id for r in decision.qualified] == [1, 2, 3]
@@ -212,7 +212,7 @@ class TestBoundedOversell:
         requests_table, history_table = tables(
             [request(10, 10, 0, "r", 5)], history
         )
-        decision = BoundedOversellProtocol(3).schedule(
+        decision = api.make_protocol(make_bounded_oversell_spec(3)).schedule(
             requests_table, history_table
         )
         assert [r.id for r in decision.qualified] == [10]
@@ -226,21 +226,21 @@ class TestBoundedOversell:
         requests_table, history_table = tables(
             [request(4, 3, 0, "w", 5)], history
         )
-        decision = BoundedOversellProtocol(2).schedule(
+        decision = api.make_protocol(make_bounded_oversell_spec(2)).schedule(
             requests_table, history_table
         )
         assert [r.id for r in decision.qualified] == [4]
 
     def test_invalid_allowance(self):
         with pytest.raises(ValueError):
-            BoundedOversellProtocol(0)
+            api.make_protocol(make_bounded_oversell_spec(0))
 
 
 class TestAdaptive:
     def _protocol(self, high=4, low=2):
         return AdaptiveConsistencyProtocol(
-            strict=SS2PLRelalgProtocol(),
-            relaxed=ReadCommittedProtocol(),
+            strict=api.make_protocol("ss2pl"),
+            relaxed=api.make_protocol("read-committed", "datalog"),
             high_watermark=high,
             low_watermark=low,
         )
@@ -289,7 +289,8 @@ class TestAdaptive:
         protocol = self._protocol(high=1, low=0)
         with pytest.raises(ValueError):
             AdaptiveConsistencyProtocol(
-                SS2PLRelalgProtocol(), ReadCommittedProtocol(),
+                api.make_protocol("ss2pl"),
+                api.make_protocol("read-committed", "datalog"),
                 high_watermark=2, low_watermark=2,
             )
         requests_table, history_table = tables(
@@ -301,11 +302,3 @@ class TestAdaptive:
         assert protocol.switches == 0
         assert protocol.active_arm is protocol.strict
 
-
-class TestRegistry:
-    def test_core_protocols_registered(self):
-        for name in ("ss2pl", "ss2pl-listing1", "ss2pl-datalog", "ss2pl-sql",
-                     "fcfs", "c2pl", "read-committed"):
-            assert name in PROTOCOL_REGISTRY
-            protocol = PROTOCOL_REGISTRY[name]()
-            assert protocol.name == name

@@ -2,8 +2,8 @@
 
 import pytest
 
+import repro.api as api
 from repro.core.stores import HistoryStore, PendingStore
-from repro.protocols.legacy import PaperListing1Protocol, SS2PLRelalgProtocol
 from repro.protocols.library import listing1_pipeline
 
 from tests.conftest import (
@@ -25,7 +25,7 @@ def schedule_ids(protocol, pending_requests, history_requests):
 
 @pytest.fixture
 def protocol():
-    return PaperListing1Protocol()
+    return api.make_protocol("ss2pl-listing1")
 
 
 class TestWriteLocks:
@@ -121,7 +121,7 @@ class TestQualifiedOrdering:
 
 class TestProgramOrderVariant:
     def test_out_of_order_intrata_denied(self):
-        protocol = SS2PLRelalgProtocol()
+        protocol = api.make_protocol("ss2pl")
         # Pending contains T1's SECOND statement only; nothing executed.
         store = PendingStore()
         history = HistoryStore()
@@ -131,7 +131,7 @@ class TestProgramOrderVariant:
         assert 1 in decision.denials
 
     def test_in_order_batch_admitted_fully(self):
-        protocol = SS2PLRelalgProtocol()
+        protocol = api.make_protocol("ss2pl")
         store = PendingStore()
         history = HistoryStore()
         store.insert_batch(
@@ -141,7 +141,7 @@ class TestProgramOrderVariant:
         assert [r.id for r in decision.qualified] == [1, 2, 3]
 
     def test_continuation_after_history(self):
-        protocol = SS2PLRelalgProtocol()
+        protocol = api.make_protocol("ss2pl")
         store = PendingStore()
         history = HistoryStore()
         history.record_batch([request(1, 1, 0, "r", 5)])
@@ -150,7 +150,7 @@ class TestProgramOrderVariant:
         assert [r.id for r in decision.qualified] == [2]
 
     def test_commit_gated_until_statements_done(self):
-        protocol = SS2PLRelalgProtocol()
+        protocol = api.make_protocol("ss2pl")
         store = PendingStore()
         history = HistoryStore()
         # T1 has executed one statement; pending: second stmt blocked by

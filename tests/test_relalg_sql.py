@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.protocols.legacy import PaperListing1Protocol
+import repro.api as api
 from repro.protocols.library import LISTING1_SQL
 from repro.relalg.sql import SqlError, SqlPlanner, execute_sql
 from repro.relalg.table import Table
@@ -198,7 +198,7 @@ class TestErrors:
 class TestListing1:
     def test_matches_reference_on_random_instances(self):
         rng = random.Random(31)
-        reference = PaperListing1Protocol()
+        reference = api.make_protocol("ss2pl-listing1")
         for __ in range(15):
             requests, history = random_scheduling_instance(
                 rng,

@@ -151,7 +151,7 @@ class TestMatrixEquivalence:
             reference = None
             for backend_name in backends:
                 protocol = build_protocol(spec_name, backend_name)
-                evaluator = getattr(protocol, "_evaluator", None)
+                evaluator = protocol.evaluator
                 if hasattr(evaluator, "resync"):
                     evaluator.resync(history)
                 ids = [

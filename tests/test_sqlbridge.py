@@ -2,7 +2,7 @@
 
 import random
 
-from repro.protocols.legacy import PaperListing1Protocol
+import repro.api as api
 from repro.sqlbridge.bridge import SqliteScheduler
 
 from tests.conftest import (
@@ -32,7 +32,7 @@ class TestQuery:
 
     def test_matches_relalg_on_random_instances(self):
         rng = random.Random(99)
-        reference = PaperListing1Protocol()
+        reference = api.make_protocol("ss2pl-listing1")
         for __ in range(10):
             requests, history = random_scheduling_instance(rng)
             with SqliteScheduler() as backend:

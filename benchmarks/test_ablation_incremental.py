@@ -20,8 +20,8 @@ def test_incremental_ablation_report(benchmark):
 def test_incremental_is_faster_and_equivalent():
     # The interpreted pipeline is the recomputation arm of RQ 4; the
     # compiled plan (delta-maintained builds) is measured separately in
-    # run_incremental_ablation and BENCH_scheduler_step.json, and can
-    # legitimately beat the hand-written incremental protocol.
+    # run_incremental_ablation and `repro run E13`, and can legitimately
+    # beat the hand-written incremental protocol.
     recompute = drive_steps(
         api.make_protocol("ss2pl-listing1", "interpreted"), clients=150, steps=20
     )

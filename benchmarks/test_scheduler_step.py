@@ -1,145 +1,35 @@
-"""Per-step query cost: interpreted Listing 1 vs cached compiled plan.
+"""E13 — per-step query cost: interpreted Listing 1 vs cached compiled plan.
 
-The JSON artefact (``BENCH_scheduler_step.json``) is produced by
-``benchmarks/bench_scheduler_step.py``; this wrapper runs the same
-measurement at reduced scale under pytest-benchmark and pins the two
-contracts: identical batches, and the compiled plan not slower."""
+Runs the ``repro run E13`` measurement at reduced scale under
+pytest-benchmark and pins its two contracts: identical batches, and the
+compiled plan not slower."""
 
 from repro.bench.scheduler_step import (
     render_scheduler_step_report,
-    write_scheduler_step_bench,
+    run_scheduler_step_bench,
 )
 
 from benchmarks.conftest import emit
 
 
-def test_scheduler_step_bench_report(benchmark, tmp_path):
-    output = tmp_path / "BENCH_scheduler_step.json"
+def test_scheduler_step_bench_report(benchmark):
     report = benchmark.pedantic(
-        write_scheduler_step_bench,
-        args=(str(output),),
+        run_scheduler_step_bench,
         kwargs={"client_counts": (100, 300), "steps": 6},
         rounds=1,
         iterations=1,
     )
     emit(render_scheduler_step_report(report))
-    assert output.exists()
     assert all(p["batches_identical"] for p in report["points"])
     # 7x is typical; >1 guards against regression without host noise
     # flakiness.
     assert min(p["speedup"] for p in report["points"]) > 1.0
 
 
-def test_check_mode_flags_only_real_regressions():
-    from benchmarks.bench_scheduler_step import check_regression
-
-    committed = {
-        "points": [
-            {"clients": 100, "compiled_median_step_s": 0.002},
-            {"clients": 300, "compiled_median_step_s": 0.005},
-        ]
-    }
-    same = {
-        "points": [
-            {"clients": 100, "compiled_median_step_s": 0.0024},
-            {"clients": 300, "compiled_median_step_s": 0.005},
-        ]
-    }
-    assert check_regression(committed, same, threshold_pct=25.0) == []
-    slower = {
-        "points": [
-            {"clients": 100, "compiled_median_step_s": 0.0026},
-            {"clients": 300, "compiled_median_step_s": 0.005},
-        ]
-    }
-    failures = check_regression(committed, slower, threshold_pct=25.0)
-    assert len(failures) == 1 and "100 clients" in failures[0]
-    # Unknown operating points in the fresh run are ignored.
-    extra = {"points": [{"clients": 999, "compiled_median_step_s": 9.0}]}
-    assert check_regression(committed, extra, threshold_pct=25.0) == []
-
-
 def test_stateful_backend_observes_preloaded_history():
     # Regression: the bench seeds history out-of-band; stateful
     # backends (incremental lock views) must still match the reference.
-    from repro.bench.scheduler_step import run_scheduler_step_bench
-
     report = run_scheduler_step_bench(
         client_counts=(20,), steps=3, backend="incremental"
     )
     assert all(p["batches_identical"] for p in report["points"])
-
-
-def test_delta_scale_point_matches_baseline_and_rebuilds_once():
-    from repro.bench.scheduler_step import run_delta_scale_bench
-
-    points = run_delta_scale_bench(
-        history_sizes=(3_000,), active_clients=20, steps=4
-    )
-    (point,) = points
-    assert point["batches_identical"]
-    # One rebuild: the initial seeding.  Steady-state steps are pure
-    # delta maintenance.
-    assert point["rebuilds"] == 1
-    assert point["delta_rows_per_step"] > 0
-
-
-def test_write_bench_includes_delta_points(tmp_path):
-    import json
-
-    output = tmp_path / "bench.json"
-    report = write_scheduler_step_bench(
-        str(output), client_counts=(50,), steps=3,
-        delta_history_sizes=(2_000,),
-    )
-    assert report["delta_backend"] == "compiled-delta"
-    data = json.loads(output.read_text(encoding="utf-8"))
-    assert [p["history_rows"] for p in data["delta_points"]] == [2_000]
-
-
-def test_check_delta_regression_guards_drift_and_budget():
-    from benchmarks.bench_scheduler_step import (
-        DELTA_BUDGET_ROWS,
-        check_delta_regression,
-    )
-
-    committed = {
-        "delta_points": [
-            {"history_rows": DELTA_BUDGET_ROWS, "delta_median_step_s": 0.0005}
-        ]
-    }
-    ok = [{"history_rows": DELTA_BUDGET_ROWS, "delta_median_step_s": 0.0006}]
-    assert check_delta_regression(committed, ok, 50.0, 1.0) == []
-    drift = [
-        {"history_rows": DELTA_BUDGET_ROWS, "delta_median_step_s": 0.0009}
-    ]
-    failures = check_delta_regression(committed, drift, 50.0, 1.0)
-    assert len(failures) == 1 and "committed" in failures[0]
-    # Past the absolute budget both guards fire.
-    over = [
-        {"history_rows": DELTA_BUDGET_ROWS, "delta_median_step_s": 0.0015}
-    ]
-    failures = check_delta_regression(committed, over, 50.0, 1.0)
-    assert len(failures) == 2 and any("budget" in f for f in failures)
-    # The budget applies even without committed delta points (first run).
-    failures = check_delta_regression({}, over, 50.0, 1.0)
-    assert len(failures) == 1 and "budget" in failures[0]
-
-
-def test_check_refuses_mismatched_artefact():
-    from benchmarks.bench_scheduler_step import artefact_mismatch
-
-    committed = {"protocol": "ss2pl", "backend": "compiled", "points": []}
-    assert artefact_mismatch(
-        committed, {"protocol": "ss2pl", "backend": "compiled"}
-    ) is None
-    assert "backend" in artefact_mismatch(
-        committed, {"protocol": "ss2pl", "backend": "datalog"}
-    )
-    assert "protocol" in artefact_mismatch(
-        committed, {"protocol": "fcfs", "backend": "compiled"}
-    )
-    # Legacy artefacts without the keys are accepted.
-    assert artefact_mismatch(
-        {"points": []}, {"protocol": "ss2pl", "backend": "compiled"}
-    ) is None

@@ -210,7 +210,7 @@ class SpecProtocol(Protocol):
     def maintenance_stats(self) -> Optional[dict]:
         """Delta/cache maintenance counters, when the backend keeps
         incrementally maintained state (None otherwise).  Surfaced in
-        scenario reports and the step-cost bench."""
+        scenario reports and the perf ledger."""
         stats = getattr(self.evaluator, "maintenance_stats", None)
         return stats() if callable(stats) else None
 

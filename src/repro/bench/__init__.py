@@ -39,7 +39,6 @@ from repro.bench.mpl_ablation import run_mpl_ablation
 from repro.bench.scheduler_step import (
     run_scheduler_step_bench,
     render_scheduler_step_report,
-    write_scheduler_step_bench,
 )
 from repro.bench.matrix import run_backend_matrix
 
@@ -62,6 +61,5 @@ __all__ = [
     "run_mpl_ablation",
     "run_scheduler_step_bench",
     "render_scheduler_step_report",
-    "write_scheduler_step_bench",
     "run_backend_matrix",
 ]

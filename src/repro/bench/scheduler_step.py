@@ -11,20 +11,19 @@ interpreted Listing 1 pipeline and once with the cached compiled plan,
 and reports the median per-step ``query_seconds`` of each at several
 history sizes.
 
-Outputs are written by ``benchmarks/bench_scheduler_step.py`` to
-``BENCH_scheduler_step.json`` so future changes have a perf trajectory
-to compare against.  Qualified batches are asserted identical between
-the two modes — this is a pure evaluation-strategy ablation, the rule
-never changes.
+Qualified batches are asserted identical between the two modes — this
+is a pure evaluation-strategy ablation (``repro run E13``), the rule
+never changes.  Wall-clock numbers for the default backend come from
+the perf ledger (``benchmarks/ledger/``), whose ``deep-history``
+workload preloads :func:`large_history_snapshot`.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.bench.declarative_overhead import paper_snapshot
 from repro.core.scheduler import DeclarativeScheduler, SchedulerConfig
@@ -73,13 +72,13 @@ def measure_step_costs(
     roughly constant pending size over a growing history.
     """
     incoming, history = paper_snapshot(clients, seed=seed)
-    return _drive_step_costs(
+    return drive_step_costs(
         protocol, incoming, history, steps=steps, seed=seed,
         table_rows=table_rows,
     )
 
 
-def _drive_step_costs(
+def drive_step_costs(
     protocol: Protocol,
     incoming: list[Request],
     history: list[Request],
@@ -87,8 +86,9 @@ def _drive_step_costs(
     seed: int,
     table_rows: int,
 ) -> StepCostResult:
-    """The shared driving loop: preload *history*, then feed a steady
-    wave of follow-up requests for *steps* scheduler steps."""
+    """The driving loop over any snapshot (E5's, or
+    :func:`large_history_snapshot`'s): preload *history*, then feed a
+    steady wave of follow-up requests for *steps* scheduler steps."""
     scheduler = DeclarativeScheduler(
         protocol,
         trigger=FillLevelTrigger(1),
@@ -178,116 +178,6 @@ def large_history_snapshot(
     return incoming, history + filler, table_rows
 
 
-def measure_delta_step_costs(
-    protocol: Protocol,
-    history_rows: int,
-    active_clients: int = 40,
-    steps: int = 10,
-    seed: int = 7,
-) -> StepCostResult:
-    """Drive *steps* steps over a preloaded *history_rows*-deep history."""
-    incoming, history, table_rows = large_history_snapshot(
-        active_clients, history_rows, seed=seed
-    )
-    return _drive_step_costs(
-        protocol, incoming, history, steps=steps, seed=seed,
-        table_rows=table_rows,
-    )
-
-
-def run_delta_scale_bench(
-    history_sizes: Sequence[int] = (100_000, 1_000_000),
-    active_clients: int = 40,
-    steps: int = 10,
-    seed: int = 7,
-    protocol: str = "ss2pl",
-    backend: str = "compiled-delta",
-    baseline: str = "compiled",
-) -> list[dict]:
-    """Per-step cost of the delta backend vs a full-recompute baseline
-    at 10^5–10^6 preloaded history rows.
-
-    The baseline is the *compiled* backend, not the interpreted
-    pipeline — at 10^6 rows the interpreted pipeline is infeasible to
-    even sample.  Batches are asserted identical; the delta point also
-    reports the per-step delta size and rebuild count from the
-    backend's maintenance stats (one rebuild: the initial seeding).
-    """
-    points = []
-    for history_rows in history_sizes:
-        reference = measure_delta_step_costs(
-            build_protocol(protocol, baseline),
-            history_rows, active_clients=active_clients,
-            steps=steps, seed=seed,
-        )
-        bound = build_protocol(protocol, backend)
-        delta = measure_delta_step_costs(
-            bound, history_rows, active_clients=active_clients,
-            steps=steps, seed=seed,
-        )
-        if reference.batches != delta.batches:
-            raise AssertionError(
-                f"backend {backend!r} diverged from {baseline!r} at "
-                f"{history_rows} preloaded history rows"
-            )
-        stats = bound.maintenance_stats() or {}
-        speedup = (
-            reference.median_seconds / delta.median_seconds
-            if delta.median_seconds
-            else float("inf")
-        )
-        per_step = (
-            (stats.get("inserts", 0) + stats.get("retracts", 0))
-            / stats["steps"]
-            if stats.get("steps")
-            else 0.0
-        )
-        points.append(
-            {
-                "history_rows": history_rows,
-                "final_history_rows": delta.history_rows,
-                "active_clients": active_clients,
-                "steps": steps,
-                "baseline_backend": baseline,
-                "baseline_median_step_s": round(
-                    reference.median_seconds, 6
-                ),
-                "delta_median_step_s": round(delta.median_seconds, 6),
-                "delta_first_step_s": round(delta.first_step_seconds, 6),
-                "speedup": round(speedup, 2),
-                "delta_rows_per_step": round(per_step, 1),
-                "rebuilds": stats.get("rebuilds", 0),
-                "batches_identical": True,
-            }
-        )
-    return points
-
-
-def render_delta_scale_report(points: Sequence[dict]) -> str:
-    rows = [
-        (
-            p["history_rows"],
-            p["active_clients"],
-            round(p["baseline_median_step_s"] * 1000, 2),
-            round(p["delta_median_step_s"] * 1000, 3),
-            round(p["delta_first_step_s"] * 1000, 1),
-            p["delta_rows_per_step"],
-            p["rebuilds"],
-            f"{p['speedup']}x",
-        )
-        for p in points
-    ]
-    return render_table(
-        ["history rows", "clients", "full recompute (ms)", "delta (ms)",
-         "first step (ms)", "delta rows/step", "rebuilds", "speedup"],
-        rows,
-        title=(
-            "Delta-driven scheduling at scale: compiled-delta vs full "
-            "plan re-execution (identical batches verified)"
-        ),
-    )
-
-
 def run_scheduler_step_bench(
     client_counts: Sequence[int] = (100, 300, 500),
     steps: int = 10,
@@ -367,35 +257,3 @@ def render_scheduler_step_report(report: dict) -> str:
             f"{backend!r} backend (identical batches verified)"
         ),
     )
-
-
-def write_scheduler_step_bench(
-    path: str,
-    client_counts: Sequence[int] = (100, 300, 500),
-    steps: int = 10,
-    seed: int = 7,
-    protocol: str = "ss2pl",
-    backend: str = "compiled",
-    delta_history_sizes: Sequence[int] = (),
-    delta_backend: str = "compiled-delta",
-) -> dict:
-    """Run the bench and write *path* (``BENCH_scheduler_step.json``).
-
-    ``delta_history_sizes`` adds the large-history delta points
-    (:func:`run_delta_scale_bench`) under ``delta_points``; empty means
-    the classic interpreted-vs-compiled sweep only.
-    """
-    report = run_scheduler_step_bench(
-        client_counts, steps=steps, seed=seed,
-        protocol=protocol, backend=backend,
-    )
-    if delta_history_sizes:
-        report["delta_backend"] = delta_backend
-        report["delta_points"] = run_delta_scale_bench(
-            delta_history_sizes, steps=steps, seed=seed,
-            protocol=protocol, backend=delta_backend,
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return report

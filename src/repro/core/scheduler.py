@@ -413,8 +413,7 @@ class DeclarativeScheduler:
                 # Only when the protocol query actually ran: on the
                 # empty-pending fast path the evaluator's last-step
                 # snapshot is stale and would double-count.
-                stats_fn = getattr(self.protocol, "maintenance_stats", None)
-                stats = stats_fn() if callable(stats_fn) else None
+                stats = self.protocol.maintenance_stats()
                 if stats:
                     self.metrics.record_maintenance(
                         stats, prefix="scheduler.delta"

@@ -718,7 +718,5 @@ class MiddlewareSimulation:
             live_ids = set(submit_times) | dropped_ids
             monitor.final_check(live_ids, sim.now)
             result.invariant_checks = monitor.checks_run
-        stats_fn = getattr(self.protocol, "maintenance_stats", None)
-        if callable(stats_fn):
-            result.delta_maintenance = stats_fn()
+        result.delta_maintenance = self.protocol.maintenance_stats()
         return result

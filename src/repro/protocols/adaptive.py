@@ -14,6 +14,9 @@ threshold.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
+from repro.model.request import Request
 from repro.protocols.base import (
     Capabilities,
     Protocol,
@@ -76,6 +79,20 @@ class AdaptiveConsistencyProtocol(Protocol):
         self.switches = 0
         self.strict.reset()
         self.relaxed.reset()
+
+    # Both arms see every history change: the idle arm's maintained
+    # views must be current the step the watermark switches to it.
+
+    def observe_executed(self, batch: Sequence[Request]) -> None:
+        self.strict.observe_executed(batch)
+        self.relaxed.observe_executed(batch)
+
+    def observe_pruned(self, transactions: set[int]) -> None:
+        self.strict.observe_pruned(transactions)
+        self.relaxed.observe_pruned(transactions)
+
+    def maintenance_stats(self) -> Optional[dict]:
+        return self.active_arm.maintenance_stats()
 
     def schedule(self, requests: Table, history: Table) -> ProtocolDecision:
         pending = len(requests)

@@ -99,6 +99,11 @@ class Protocol(abc.ABC):
         """Called after the listed transactions' rows were pruned from
         the history store."""
 
+    def maintenance_stats(self) -> Optional[dict]:
+        """Delta/cache maintenance counters of a protocol that keeps
+        incrementally maintained state (default: None)."""
+        return None
+
     def spec_line_count(self) -> int:
         """Number of non-empty lines in the declarative specification."""
         if not self.declarative_source:

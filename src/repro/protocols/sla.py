@@ -14,7 +14,7 @@ stores alongside the Table 2 columns.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 from repro.model.request import Request
 from repro.protocols.base import (
@@ -42,13 +42,38 @@ def rehydrate_attrs(decision: ProtocolDecision, requests: Table) -> None:
         for request in decision.qualified
     ]
 
+
+class _OrderingDecorator(Protocol):
+    """A protocol that reorders what ``inner`` qualifies.
+
+    Everything but ``schedule`` is ``inner``'s: a stateful inner
+    backend must see history change through the decorator exactly as it
+    would bare, or its maintained views go stale and it grants
+    conflicting locks.
+    """
+
+    inner: Protocol
+
+    def reset(self) -> None:
+        self.inner.reset()
+
+    def observe_executed(self, batch: Sequence[Request]) -> None:
+        self.inner.observe_executed(batch)
+
+    def observe_pruned(self, transactions: set[int]) -> None:
+        self.inner.observe_pruned(transactions)
+
+    def maintenance_stats(self) -> Optional[dict]:
+        return self.inner.maintenance_stats()
+
+
 SLA_ORDER_RULES = """\
 rank(Id, P) :- qualified(Id, _, _, _, _), priority(Id, P).
 emit(Id) :- rank(Id, P)  ordered by P desc, Id asc.
 """
 
 
-class SLAOrderingProtocol(Protocol):
+class SLAOrderingProtocol(_OrderingDecorator):
     """Order an inner protocol's qualified set by SLA priority.
 
     Higher ``attrs.priority`` goes first; ties break by arrival (id).
@@ -74,9 +99,6 @@ class SLAOrderingProtocol(Protocol):
         self.reserve_share = reserve_share
         self.name = f"sla({inner.name})"
         self.description = f"SLA priority ordering over {inner.name}"
-
-    def reset(self) -> None:
-        self.inner.reset()
 
     def schedule(self, requests: Table, history: Table) -> ProtocolDecision:
         decision = self.inner.schedule(requests, history)
@@ -107,7 +129,7 @@ class SLAOrderingProtocol(Protocol):
         return kept
 
 
-class EarliestDeadlineFirstProtocol(Protocol):
+class EarliestDeadlineFirstProtocol(_OrderingDecorator):
     """Order an inner protocol's qualified set by deadline (EDF).
 
     Requests without a deadline sort last, then by priority and arrival.
@@ -126,9 +148,6 @@ emit(Id) :- qualified(Id, _, _, _, _), deadline(Id, D)
         self.inner = inner
         self.name = f"edf({inner.name})"
         self.description = f"earliest-deadline-first over {inner.name}"
-
-    def reset(self) -> None:
-        self.inner.reset()
 
     def schedule(self, requests: Table, history: Table) -> ProtocolDecision:
         decision = self.inner.schedule(requests, history)

@@ -25,7 +25,7 @@ Joins additionally avoid re-hashing their build side per execution:
 * when the build side is a filter/project chain over one base table,
   the build table is **materialized once and maintained across steps**
   by replaying the table's delta journal
-  (:meth:`~repro.relalg.table.Table.delta_since`) — exactly the
+  (:meth:`~repro.relalg.table.Table.delta_cursor`) — exactly the
   append/prune deltas the scheduler produces each step;
 * otherwise the build side is rebuilt per execution (still with
   compiled expressions).

@@ -122,18 +122,16 @@ class Table:
         # is the offset of ``_log[0]``), so the consumed prefix can be
         # pruned without moving anyone's mark; the epoch bumps only when
         # the table's contents are replaced wholesale (``clear``).
-        # Recording starts lazily on the first delta_state()/
-        # delta_cursor() call, so tables with no journal consumer pay
-        # nothing per mutation.
+        # Recording starts lazily on the first delta_cursor() call, so
+        # tables with no journal consumer pay nothing per mutation.
         self._log: list[tuple[bool, tuple]] = []
         self._log_base = 0
         self._log_epoch = 0
         self._log_enabled = False
-        # Weak references to registered journal consumers — legacy
-        # owner objects and :class:`DeltaCursor` instances alike: when
-        # the last one is collected, journaling stops and the log is
-        # pruned, so a table never accumulates deltas for plans that no
-        # longer exist.
+        # Weak references to the live :class:`DeltaCursor` consumers:
+        # when the last one is collected, journaling stops and the log
+        # is pruned, so a table never accumulates deltas for plans that
+        # no longer exist.
         self._log_consumers: list[weakref.ref] = []
         self.insert_many(rows)
 
@@ -208,31 +206,16 @@ class Table:
 
     # -- delta journal ----------------------------------------------------
 
-    def register_delta_consumer(self, owner: object) -> None:
-        """Tie the journal's lifetime to *owner* (held weakly).
-
-        Journal entries are recorded while at least one registered owner
-        is alive; when the last one is garbage-collected, journaling
-        stops and the accumulated log is pruned immediately.  Consumers
-        that cannot name an owner may still call :meth:`delta_state`
-        directly, at the cost of journaling for the table's lifetime.
-
-        Positionless owners block eager prefix pruning (the table
-        cannot know how far they have read); cursor-based consumers
-        (:meth:`delta_cursor`) should be preferred.
-        """
-        self._log_consumers.append(
-            weakref.ref(owner, self._on_consumer_collected)
-        )
-        self._log_enabled = True
-
     def delta_cursor(self) -> DeltaCursor:
         """A new :class:`DeltaCursor` positioned at the journal's end.
 
-        The cursor doubles as the journal-lifetime token: the table
-        holds it weakly, exactly like :meth:`register_delta_consumer`
-        owners, and additionally uses live cursor positions to prune
-        the consumed journal prefix eagerly."""
+        The first cursor turns journaling on; mutations before that
+        are never needed (a consumer full-builds from :attr:`rows`
+        before its first take).  The cursor doubles as the
+        journal-lifetime token: the table holds it weakly — journaling
+        stops and the log is pruned when the last one is collected —
+        and uses live cursor positions to prune the consumed journal
+        prefix eagerly."""
         cursor = DeltaCursor(self)
         self._log_consumers.append(
             weakref.ref(cursor, self._on_consumer_collected)
@@ -250,30 +233,6 @@ class Table:
             self._log_base += len(self._log)
             self._log.clear()
             self._log_epoch += 1
-
-    def delta_state(self) -> tuple[int, int]:
-        """Opaque (epoch, position) marker of the journal's current end.
-
-        The first call turns journaling on; mutations before that are
-        never needed (a consumer always full-builds from :attr:`rows`
-        before taking its first marker)."""
-        self._log_enabled = True
-        return self._log_epoch, self._log_base + len(self._log)
-
-    def delta_since(
-        self, epoch: int, position: int
-    ) -> Optional[list[tuple[bool, tuple]]]:
-        """Journal entries appended since ``(epoch, position)``, or
-        ``None`` when that span is gone (truncation) and the consumer
-        must rebuild from :attr:`rows`."""
-        end = self._log_base + len(self._log)
-        if (
-            epoch != self._log_epoch
-            or position < self._log_base
-            or position > end
-        ):
-            return None
-        return self._log[position - self._log_base:]
 
     def _take_since(
         self, cursor: DeltaCursor
@@ -294,15 +253,12 @@ class Table:
         """Drop the journal prefix every live consumer has consumed.
 
         O(consumers) per take — consumers are a handful of plans, not
-        rows.  Skipped while any positionless (legacy) owner is
-        registered, since the table cannot see how far it has read."""
+        rows."""
         low: Optional[int] = None
         for ref in self._log_consumers:
             consumer = ref()
             if consumer is None:
                 continue
-            if not isinstance(consumer, DeltaCursor):
-                return  # positionless owner: prefix may still be needed
             if consumer.epoch != self._log_epoch:
                 return  # stale cursor; its next take() resynchronizes
             position = (
@@ -321,17 +277,14 @@ class Table:
         # Keep the journal bounded: once it dwarfs the live row count,
         # someone is lagging and it is cheaper for *that* consumer to
         # rebuild than to replay.  Truncate up to the freshest live
-        # cursor — up-to-date consumers stay valid; only laggards (and
-        # positionless legacy owners) are forced to rebuild.
+        # cursor — up-to-date consumers stay valid; only laggards are
+        # forced to rebuild.
         if len(self._log) <= max(256, 4 * len(self._rows)):
             return
         high = self._log_base
         for ref in self._log_consumers:
             consumer = ref()
-            if (
-                isinstance(consumer, DeltaCursor)
-                and consumer.epoch == self._log_epoch
-            ):
+            if consumer is not None and consumer.epoch == self._log_epoch:
                 high = max(high, consumer.position)
         drop = high - self._log_base
         if drop > 0:

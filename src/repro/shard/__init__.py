@@ -1,4 +1,4 @@
-"""Sharded multi-scheduler scale-out (ROADMAP item 2).
+"""Sharded multi-scheduler scale-out (ROADMAP item 3).
 
 Partitions the request stream by object-id hash into N independent
 :class:`~repro.core.scheduler.DeclarativeScheduler` shards behind a

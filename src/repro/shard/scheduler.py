@@ -1,7 +1,7 @@
 """``ShardedScheduler``: N independent declarative schedulers behind
 the one-scheduler interface.
 
-One pending table cannot hold millions of users (ROADMAP item 2).  The
+One pending table cannot hold millions of users (ROADMAP item 3).  The
 PR 2 spec/backend split makes scale-out a pure orchestration problem:
 each shard is an ordinary :class:`~repro.core.scheduler.DeclarativeScheduler`
 with its own compiled plans, trigger, recovery, and admission policy,
@@ -371,16 +371,11 @@ class ShardedScheduler:
         self.incoming = _IncomingView(self)
         self.pending = _PendingView(self)
         self.trigger = _UnionTrigger(self.shards)
-        #: Per-shard protocol-query seconds of the most recent step
-        #: (index == shard index).  A deployment runs shards on
-        #: separate workers, so the step's critical path is the *max*
-        #: of these while the facade necessarily pays the *sum*;
-        #: benchmarks use the breakdown to model concurrent shards.
-        self.shard_query_seconds: list[float] = [0.0] * len(self.shards)
         #: Per-shard wall seconds of the most recent ``shard.step()``
-        #: call — the query time above plus the shard's own batch
-        #: assembly, trigger, and recovery scans, i.e. everything that
-        #: runs on that shard's worker in a deployment.
+        #: call (index == shard index) — the protocol query plus the
+        #: shard's own batch assembly, trigger, and recovery scans.
+        #: The facade pays the *sum*; the ledger reads the breakdown
+        #: for ``shard.shard_step_s_max`` and ``shard.imbalance``.
         self.shard_step_seconds: list[float] = [0.0] * len(self.shards)
         self.clock = clock if clock is not None else _zero_clock
 
@@ -541,7 +536,6 @@ class ShardedScheduler:
             pending_before += result.pending_before
             history_rows += result.history_rows
             query_seconds += result.query_seconds
-            self.shard_query_seconds[source] = result.query_seconds
             for rid, reason in result.denials.items():
                 denials[self._original_id(rid)] = reason
             for request in result.qualified:

@@ -13,7 +13,10 @@ from repro.backends import (
     resolve_backend,
     supported_backends,
 )
+from repro.bench.incremental_ablation import drive_steps
+from repro.protocols.adaptive import AdaptiveConsistencyProtocol
 from repro.protocols.base import Protocol
+from repro.protocols.sla import EarliestDeadlineFirstProtocol
 from repro.protocols.spec import (
     ProtocolSpec,
     SPEC_REGISTRY,
@@ -141,6 +144,87 @@ class TestSharedDeltaPlan:
             assert hits >= 38  # at most one miss per plan built
         finally:
             first.reset()
+
+
+WRAPPER_BACKENDS = ("compiled", "compiled-delta", "imperative", "incremental")
+
+WRAPPERS = {
+    "sla:ss2pl": lambda backend: api.make_protocol("sla:ss2pl", backend),
+    "edf(ss2pl)": lambda backend: EarliestDeadlineFirstProtocol(
+        build_protocol("ss2pl", backend)
+    ),
+    "adaptive:ss2pl,read-committed": lambda backend: api.make_protocol(
+        "adaptive:ss2pl,read-committed", backend
+    ),
+}
+
+
+class TestWrappersForwardHistory:
+    """``sla:`` / EDF / ``adaptive:`` are transparent to a stateful
+    inner backend: it sees every executed batch and every prune, so the
+    wrapped protocol decides what the bare one would on every backend
+    (regression: ``incremental`` under a wrapper never saw history
+    change and granted two write locks on one object)."""
+
+    @pytest.mark.parametrize("backend", WRAPPER_BACKENDS)
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    def test_second_writer_on_one_object_is_blocked(self, wrapper, backend):
+        scheduler = api.make_scheduler(WRAPPERS[wrapper](backend))
+        scheduler.submit(request(1, 1, 0, "w", 5))
+        assert [r.id for r in scheduler.step().qualified] == [1]
+        scheduler.submit(request(2, 2, 0, "w", 5))
+        assert scheduler.step().qualified == []
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    def test_same_batches_on_every_backend(self, wrapper):
+        # A closed population over 80 rows with pruning on: lock waits,
+        # commits and prunes every few steps.
+        batches = {
+            backend: drive_steps(
+                WRAPPERS[wrapper](backend),
+                clients=16, steps=40, ops_per_txn=4, table_rows=80, seed=5,
+            ).batches
+            for backend in WRAPPER_BACKENDS
+        }
+        assert any(batches["compiled"])
+        for backend in WRAPPER_BACKENDS:
+            assert batches[backend] == batches["compiled"], backend
+
+    @pytest.mark.parametrize("backend", WRAPPER_BACKENDS)
+    def test_adaptive_idle_arm_tracks_history(self, backend):
+        """Each arm must know the locks granted, and the transactions
+        pruned, while the other arm was deciding."""
+        protocol = AdaptiveConsistencyProtocol(
+            build_protocol("ss2pl", backend),
+            build_protocol("read-committed", backend),
+            high_watermark=3,
+            low_watermark=2,
+        )
+        scheduler = api.make_scheduler(protocol)
+        waves = [
+            [request(1, 1, 0, "w", 5)],  # strict grants w(5) to ta 1
+            [  # 4 pending: relaxed decides, and must block ta 2 on w(5)
+                request(2, 2, 0, "w", 5), request(3, 3, 0, "w", 6),
+                request(4, 4, 0, "w", 7), request(5, 5, 0, "r", 8),
+            ],
+            [request(6, 1, 1, "c")],  # relaxed commits ta 1; it is pruned
+            [],  # 1 pending: strict again, must see w(5) released
+            [request(7, 6, 0, "w", 6)],  # ...and ta 3's w(6) still held
+        ]
+        batches = []
+        for wave in waves:
+            for r in wave:
+                scheduler.submit(r)
+            batches.append([r.id for r in scheduler.step().qualified])
+        assert batches == [[1], [3, 4, 5], [6], [2], []]
+        assert protocol.switches == 2
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    def test_wrapped_compiled_delta_reports_maintenance(self, wrapper):
+        scheduler = api.make_scheduler(WRAPPERS[wrapper]("compiled-delta"))
+        scheduler.submit(request(1, 1, 0, "w", 5))
+        scheduler.step()
+        assert scheduler.protocol.maintenance_stats()["steps"] == 1
 
 
 class TestCustomSpec:

@@ -407,3 +407,56 @@ class TestJournalStaysBounded:
         # take() reports a lost position (None) rather than stale data.
         assert laggard.take() is None
         assert plan.stats["rebuilds"] == 1
+
+
+class TestWorkFollowsDeltaNotDepth:
+    """The O(|delta|) claim as operation counts: the same steady stream
+    over a 30x deeper committed history seeds once and then maintains
+    exactly as many rows per step."""
+
+    @staticmethod
+    def _drive(backend: str, history_rows: int):
+        """``ss2pl`` x *backend* over ``large_history_snapshot`` through
+        the E13 driver.  Returns the batches, the bound protocol, and
+        its ``inserts + retracts`` after each ``schedule`` call."""
+        from repro.backends import build_protocol
+        from repro.bench.scheduler_step import (
+            drive_step_costs,
+            large_history_snapshot,
+        )
+
+        incoming, history, table_rows = large_history_snapshot(
+            active_clients=20, history_rows=history_rows, seed=7
+        )
+        protocol = build_protocol("ss2pl", backend)
+        delta_rows = []
+        schedule = protocol.schedule
+
+        def recording_schedule(requests, history_table):
+            decision = schedule(requests, history_table)
+            last = (protocol.maintenance_stats() or {}).get("last", {})
+            delta_rows.append(last.get("inserts", 0) + last.get("retracts", 0))
+            return decision
+
+        protocol.schedule = recording_schedule
+        result = drive_step_costs(
+            protocol, incoming, history, steps=6, seed=7,
+            table_rows=table_rows,
+        )
+        return result.batches, protocol, delta_rows
+
+    def test_same_delta_rows_per_step_at_both_depths(self):
+        per_depth = {}
+        for history_rows in (1_000, 30_000):
+            reference, __, ___ = self._drive("compiled", history_rows)
+            batches, protocol, delta_rows = self._drive(
+                "compiled-delta", history_rows
+            )
+            assert batches == reference
+            assert any(batches)
+            # The seeding, nothing after.
+            assert protocol.maintenance_stats()["rebuilds"] == 1
+            per_depth[history_rows] = delta_rows
+        shallow, deep = per_depth[1_000], per_depth[30_000]
+        assert shallow[1:] == deep[1:]
+        assert all(rows > 0 for rows in deep[1:])

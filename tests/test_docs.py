@@ -1,5 +1,6 @@
-"""Docs stay true: relative links resolve and every ``python`` block
-in docs/api.md and docs/analysis.md executes.
+"""Docs stay true: relative links resolve, every ``python`` block in
+docs/api.md and docs/analysis.md executes, and nothing quotes the
+retired pre-ledger benchmark surface.
 
 These snippets are what users paste first; executing them here (and in
 CI's docs job) keeps the documented surface from drifting away from
@@ -28,6 +29,15 @@ EXECUTABLE_DOCS = [
     REPO / "docs" / "api.md",
     REPO / "docs" / "analysis.md",
 ]
+
+#: The pre-ledger bench scripts and their artefacts (spelled in parts so
+#: this file does not mention them).  ``benchmarks/ledger/`` is the one
+#: measurement surface; the history files may still say what was retired.
+_RETIRED_BENCHES = ("scheduler_step", "serve", "shards")
+RETIRED_NAMES = [f"BENCH_{name}" for name in _RETIRED_BENCHES] + [
+    f"bench_{name}.py" for name in _RETIRED_BENCHES
+]
+MAY_NAME_RETIRED = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _SNIPPET = re.compile(r"```python\n(.*?)```", re.S)
@@ -75,6 +85,25 @@ class TestLinks:
                 if anchor not in _heading_anchors(resolved.read_text()):
                     broken.append(target)
         assert not broken, f"broken links in {doc.name}: {broken}"
+
+
+class TestRetiredBenchSurface:
+    def test_nothing_mentions_the_retired_bench_scripts(self):
+        mentions = []
+        for path in sorted(REPO.rglob("*")):
+            relative = path.relative_to(REPO)
+            if (
+                path.suffix not in {".md", ".yml", ".py"}
+                or relative.parts[0] == ".git"
+                or relative.parts[:2] == ("benchmarks", "ledger")
+                or str(relative) in MAY_NAME_RETIRED
+            ):
+                continue
+            text = path.read_text(encoding="utf-8")
+            mentions += [
+                f"{relative}: {name}" for name in RETIRED_NAMES if name in text
+            ]
+        assert not mentions, f"retired benchmark surface quoted: {mentions}"
 
 
 class TestDocSnippets:

@@ -105,51 +105,39 @@ class TestDeltaJournalLifetime:
     used to leave journaling on forever)."""
 
     def test_journal_records_while_consumer_alive(self, table):
-        class Consumer:
-            pass
-
-        consumer = Consumer()
-        table.register_delta_consumer(consumer)
-        mark = table.delta_state()
+        cursor = table.delta_cursor()
         table.insert((4, 12, 7))
-        assert table.delta_since(*mark) == [(True, (4, 12, 7))]
+        assert cursor.take() == [(True, (4, 12, 7))]
 
     def test_journal_pruned_after_consumer_dropped(self, table):
         import gc
 
-        class Consumer:
-            pass
-
-        consumer = Consumer()
-        table.register_delta_consumer(consumer)
-        mark = table.delta_state()
+        cursor = table.delta_cursor()
+        mark = (cursor.epoch, cursor.position)
         table.insert((4, 12, 7))
         assert table._log  # journaling active
-        del consumer
+        del cursor
         gc.collect()
         assert table._log == []  # pruned immediately, not on next write
         assert table._log_enabled is False
         for i in range(300):
             table.insert((100 + i, 13, 8))
         assert table._log == []  # and never grows again
-        # The old marker span is gone: a late consumer must rebuild.
-        assert table.delta_since(*mark) is None
+        # The old marker span is gone: a late reader must rebuild.
+        late = table.delta_cursor()
+        late.epoch, late.position = mark
+        assert late.take() is None
 
     def test_journal_survives_while_one_of_two_consumers_lives(self, table):
         import gc
 
-        class Consumer:
-            pass
-
-        first, second = Consumer(), Consumer()
-        table.register_delta_consumer(first)
-        table.register_delta_consumer(second)
-        table.delta_state()
+        first, second = table.delta_cursor(), table.delta_cursor()
         del first
         gc.collect()
         table.insert((4, 12, 7))
         assert table._log_enabled is True
         assert table._log  # still recording for the survivor
+        assert second.take() == [(True, (4, 12, 7))]
 
     def test_compiled_plan_is_a_registered_consumer(self):
         """End-to-end: a PlanCache-owned plan keeps the journal alive;

@@ -13,6 +13,7 @@ core never learns which engine runs underneath it.
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.model.request import Request
@@ -21,6 +22,8 @@ from repro.protocols.spec import ProtocolSpec
 from repro.relalg.query import PlanNode, Query
 from repro.relalg.sql import SqlPlanner
 from repro.relalg.table import Table
+
+_BY_ID = operator.attrgetter("id")
 
 
 class BackendError(Exception):
@@ -199,7 +202,7 @@ class SpecProtocol(Protocol):
 
     def schedule(self, requests: Table, history: Table) -> ProtocolDecision:
         decision = self.evaluator.evaluate(requests, history)
-        decision.qualified.sort(key=lambda r: r.id)
+        decision.qualified.sort(key=_BY_ID)
         if self.spec.post_process is not None:
             decision = self.spec.post_process(decision, requests, history)
         return decision

@@ -38,6 +38,7 @@ and the wall-clock serving layer (:mod:`repro.serve`):
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -207,6 +208,15 @@ class DeclarativeScheduler:
         # needs it; the fault-free fast path skips all of it).
         self._abort_ids = itertools.count(-1, -1)
         self._pending_since: dict[int, float] = {}
+        #: A lower bound on the oldest value in ``_pending_since`` (see
+        #: :meth:`_recover`): lowered by every arming, recomputed only
+        #: when a timeout sweep runs.
+        self._pending_since_floor = math.inf
+        #: Request id -> drain order of each pending row, so the
+        #: transactions a step arms enter ``_pending_since`` in pending
+        #: table order without walking the table.
+        self._drain_seq: dict[int, int] = {}
+        self._drain_seqs = itertools.count()
         self._client_of_ta: dict[int, int] = {}
         self._priority_of_ta: dict[int, int] = {}
         self._arrival_of_ta: dict[int, float] = {}
@@ -329,6 +339,7 @@ class DeclarativeScheduler:
         self.pending.insert_batch(drained_requests)
         if self._tracking:
             for request in drained_requests:
+                self._drain_seq[request.id] = next(self._drain_seqs)
                 client = request.attrs.client_id
                 self._client_of_ta.setdefault(request.ta, client)
                 self._arrival_of_ta.setdefault(request.ta, now)
@@ -371,7 +382,7 @@ class DeclarativeScheduler:
         self.trigger.notify_fired(now)
 
         if self._tracking:
-            self._note_progress(qualified, now)
+            self._note_progress(drained_requests, qualified, now)
         result = SchedulerStepResult(
             now=now,
             drained=len(drained_requests),
@@ -380,7 +391,7 @@ class DeclarativeScheduler:
             history_rows=history_rows,
             qualified=qualified,
             query_seconds=query_seconds,
-            denials=dict(decision.denials),
+            denials=decision.denials,
             recovery=recovery_actions,
         )
         if self.monitor is not None:
@@ -433,9 +444,12 @@ class DeclarativeScheduler:
 
     # -- recovery internals ------------------------------------------------------
 
-    def _note_progress(self, qualified: list[Request], now: float) -> None:
+    def _note_progress(
+        self, drained: list[Request], qualified: list[Request], now: float
+    ) -> None:
         """Update per-transaction timers/bookkeeping after a dispatch."""
         for request in qualified:
+            self._drain_seq.pop(request.id, None)
             self._pending_since.pop(request.ta, None)
             if request.operation.is_termination:
                 client = self._client_of_ta.pop(request.ta, None)
@@ -445,26 +459,54 @@ class DeclarativeScheduler:
                     # A commit ends the retry episode: the client's next
                     # transaction starts with a fresh timeout.
                     self._retries_of_client.pop(client, None)
-        # Arm/refresh the pending clock of every transaction that still
-        # has work sitting in the table (newly drained or just blocked
-        # again after progress).
-        if len(self.pending):
-            ta_pos = self.pending.table.schema.resolve("ta")
-            for row in self.pending.table.rows:
-                self._pending_since.setdefault(row[ta_pos], now)
+        # Arm the pending clock of every transaction that has work
+        # sitting in the table and no clock running.  Rows enter the
+        # table through the drain only and a clock stops only above, so
+        # those are among the transactions drained or granted this step;
+        # they are armed in the order of their first pending rows, the
+        # order a timeout sweep later aborts them in.
+        pending_since = self._pending_since
+        table = self.pending.table
+        by_ta = table.index_on("ta").buckets
+        id_pos = table.schema.resolve("id")
+        to_arm = []
+        for ta in dict.fromkeys(
+            r.ta for r in itertools.chain(drained, qualified)
+        ):
+            if ta not in pending_since:
+                rows = by_ta.get((ta,))
+                if rows:
+                    to_arm.append((self._drain_seq[rows[0][id_pos]], ta))
+        if to_arm:
+            to_arm.sort()
+            for __, ta in to_arm:
+                pending_since[ta] = now
+            if now < self._pending_since_floor:
+                self._pending_since_floor = now
 
     def _recover(self, now: float, actions: RecoveryActions) -> None:
         """Timeout aborts (with per-client backoff) and orphan reaping."""
         policy = self.recovery
-        for ta, since in list(self._pending_since.items()):
-            client = self._client_of_ta.get(ta, 0)
-            timeout = policy.timeout_for(self._retries_of_client.get(client, 0))
-            if now - since > timeout:
-                abort = self.abort_transaction(ta, now, reason="timeout")
-                self._retries_of_client[client] = (
-                    self._retries_of_client.get(client, 0) + 1
+        # No timeout is shorter than ``request_timeout`` (the backoff
+        # factor is >= 1) and no clock is older than the floor, so while
+        # the floor is within ``request_timeout`` of ``now`` nothing can
+        # have expired and the sweep is skipped.
+        if now - self._pending_since_floor > policy.request_timeout:
+            floor = math.inf
+            for ta, since in list(self._pending_since.items()):
+                client = self._client_of_ta.get(ta, 0)
+                timeout = policy.timeout_for(
+                    self._retries_of_client.get(client, 0)
                 )
-                actions.timeouts.append((ta, abort))
+                if now - since > timeout:
+                    abort = self.abort_transaction(ta, now, reason="timeout")
+                    self._retries_of_client[client] = (
+                        self._retries_of_client.get(client, 0) + 1
+                    )
+                    actions.timeouts.append((ta, abort))
+                elif since < floor:
+                    floor = since
+            self._pending_since_floor = floor
         for ta, orphaned_at in list(self._orphaned_at.items()):
             if ta not in self._client_of_ta:
                 # Finished (or already aborted) before the lease expired.
@@ -507,17 +549,15 @@ class DeclarativeScheduler:
         synthesize an ``a`` request into history, releasing its logical
         locks.  Returns the synthesized abort request (negative id —
         scheduler-originated, never colliding with workload ids)."""
-        ta_pos = self.pending.table.schema.resolve("ta")
-        id_pos = self.pending.table.schema.resolve("id")
-        doomed_ids = [
-            row[id_pos]
-            for row in self.pending.table.rows
-            if row[ta_pos] == ta
-        ]
-        if doomed_ids:
-            self.pending.table.delete_where(lambda row: row[ta_pos] == ta)
+        table = self.pending.table
+        id_pos = table.schema.resolve("id")
+        doomed = table.lookup(("ta",), (ta,))
+        doomed_ids = [row[id_pos] for row in doomed]
+        if doomed:
+            table.delete_rows(doomed)
             for request_id in doomed_ids:
-                self.pending.table.attrs_by_id.pop(request_id, None)
+                table.attrs_by_id.pop(request_id, None)
+                self._drain_seq.pop(request_id, None)
         abort = Request(
             id=next(self._abort_ids),
             ta=ta,

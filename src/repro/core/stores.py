@@ -9,8 +9,7 @@ qualified rows into full :class:`~repro.model.request.Request` objects.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.model.request import Request, RequestAttributes, TransactionStatus
 from repro.relalg.table import Table
@@ -69,7 +68,14 @@ class PendingStore:
         attrs = self.table.attrs_by_id.get(request.id)
         if attrs is None:
             return request
-        return dataclasses.replace(request, attrs=attrs)
+        return Request(
+            request.id,
+            request.ta,
+            request.intrata,
+            request.operation,
+            request.obj,
+            attrs,
+        )
 
     def __len__(self) -> int:
         return len(self.table)
@@ -88,6 +94,9 @@ class HistoryStore:
         self.table.create_index("ta")
         self.table.create_index("object")
         self._status: dict[int, TransactionStatus] = {}
+        #: Committed/aborted transactions not yet pruned, kept as
+        #: ``record_batch`` learns them.
+        self._finished: set[int] = set()
         self.total_recorded = 0
 
     def record_batch(self, requests: Iterable[Request]) -> int:
@@ -98,8 +107,10 @@ class HistoryStore:
             self._status.setdefault(request.ta, TransactionStatus.ACTIVE)
             if request.is_commit:
                 self._status[request.ta] = TransactionStatus.COMMITTED
+                self._finished.add(request.ta)
             elif request.is_abort:
                 self._status[request.ta] = TransactionStatus.ABORTED
+                self._finished.add(request.ta)
             count += 1
         self.total_recorded += count
         return count
@@ -118,17 +129,14 @@ class HistoryStore:
     @property
     def finished_transactions(self) -> set[int]:
         """Committed/aborted transactions not yet pruned."""
-        return {
-            ta
-            for ta, status in self._status.items()
-            if status is not TransactionStatus.ACTIVE
-        }
+        return set(self._finished)
 
     def prune_finished(self) -> set[int]:
         """Drop rows of committed/aborted transactions; returns the
         transactions dropped."""
-        finished = self.finished_transactions
+        finished = self._finished
         if finished:
+            self._finished = set()
             by_ta = self.table.index_on("ta")
             ta_pos = self.table.schema.resolve("ta")
             id_pos = self.table.schema.resolve("id")

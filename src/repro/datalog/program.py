@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from repro.datalog.ast import Aggregate, Atom, Comparison, Literal, Rule, Var
 
 
@@ -106,6 +104,10 @@ class Program:
         return referenced - self.idb
 
     def _stratify(self) -> list[set[str]]:
+        # Imported where a graph is built: networkx is ~20 MB resident
+        # and only programs that are stratified pay for it.
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.idb)
         negative_edges: set[tuple[str, str]] = set()

@@ -15,9 +15,10 @@ scheduler, i.e. the order requests are submitted to the server.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 from repro.model.request import Operation, Request
 
@@ -91,6 +92,10 @@ def conflict_graph(schedule: Schedule) -> nx.DiGraph:
     Nodes are transaction numbers; an edge ``ti -> tj`` exists when some
     request of ``ti`` precedes and conflicts with a request of ``tj``.
     """
+    # Imported where a graph is built: networkx is ~20 MB resident and a
+    # scheduler that only schedules never builds one.
+    import networkx as nx
+
     committed = schedule.committed_projection()
     graph = nx.DiGraph()
     graph.add_nodes_from(committed.transactions)
@@ -109,12 +114,16 @@ def conflict_graph(schedule: Schedule) -> nx.DiGraph:
 
 def is_conflict_serializable(schedule: Schedule) -> bool:
     """Conflict-serializability (CSR) test: the conflict graph is acyclic."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(conflict_graph(schedule))
 
 
 def serialization_order(schedule: Schedule) -> Optional[list[int]]:
     """A topological order of the conflict graph (an equivalent serial
     schedule), or None when the schedule is not conflict-serializable."""
+    import networkx as nx
+
     graph = conflict_graph(schedule)
     if not nx.is_directed_acyclic_graph(graph):
         return None

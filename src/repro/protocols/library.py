@@ -369,6 +369,13 @@ LISTING1_SPEC = register_spec(
 )
 
 
+#: (intrata, executed) -> the gate's denial text.  Under contention
+#: nearly every lock-free candidate is out of order on every step and
+#: the distinct texts number (transaction length)² at most, so each is
+#: formatted once.
+_OUT_OF_ORDER: dict[tuple[int, int], str] = {}
+
+
 def gate_program_order(
     decision: ProtocolDecision, requests: Table, history: Table
 ) -> ProtocolDecision:
@@ -383,46 +390,52 @@ def gate_program_order(
       its transaction's data accesses have executed.
 
     Pure batch policy: runs identically on every backend's candidates
-    (which arrive id-ordered).
+    (which arrive id-ordered).  One pass over them; the denials are
+    added to the incoming decision's own ``denials`` dict.
     """
     if not decision.qualified:
         return decision
 
-    # Executed-count per transaction from history, for the transactions
-    # in the candidate set only — the gate never reads any other ta, and
-    # touching every history bucket would cost O(|history tas|) per step
-    # (at 10^5+ preloaded rows that dwarfs the delta-maintained query
-    # itself).  The stores maintain a hash index on ta; fall back to a
-    # scan for bare tables.
-    candidate_tas = {request.ta for request in decision.qualified}
-    executed: dict[int, int] = {}
+    # Executed-count per transaction, read from history the first time a
+    # candidate of that transaction is met — the gate never reads any
+    # other ta, and touching every history bucket would cost
+    # O(|history tas|) per step (at 10^5+ preloaded rows that dwarfs the
+    # delta-maintained query itself).  The stores maintain a hash index
+    # on ta; bare tables are counted in one scan.
+    progress: dict[int, int] = {}
     ta_index = history.index_on("ta")
     if ta_index is not None:
-        for ta in candidate_tas:
-            bucket = ta_index.buckets.get((ta,))
-            if bucket:
-                executed[ta] = len(bucket)
+        buckets = ta_index.buckets
     else:
+        buckets = {}
         history_ta_pos = history.schema.resolve("ta")
         for row in history.rows:
             ta = row[history_ta_pos]
-            if ta in candidate_tas:
-                executed[ta] = executed.get(ta, 0) + 1
+            progress[ta] = progress.get(ta, 0) + 1
 
-    gated = ProtocolDecision(denials=dict(decision.denials))
-    progress = dict(executed)
+    denials = decision.denials
+    texts = _OUT_OF_ORDER
+    gated: list[Request] = []
     for request in decision.qualified:
-        done = progress.get(request.ta, 0)
-        if request.intrata != done:
-            gated.denials[request.id] = (
-                f"out of program order: intrata {request.intrata}, "
-                f"executed {done}"
-            )
+        ta = request.ta
+        done = progress.get(ta)
+        if done is None:
+            done = progress[ta] = len(buckets.get((ta,), ()))
+        intrata = request.intrata
+        if intrata != done:
+            text = texts.get((intrata, done))
+            if text is None:
+                text = texts[(intrata, done)] = (
+                    f"out of program order: intrata {intrata}, "
+                    f"executed {done}"
+                )
+            denials[request.id] = text
             continue
-        if request.operation.is_termination or request.operation.is_data_access:
-            gated.qualified.append(request)
-            progress[request.ta] = done + 1
-    return gated
+        operation = request.operation
+        if operation.is_termination or operation.is_data_access:
+            gated.append(request)
+            progress[ta] = done + 1
+    return ProtocolDecision(qualified=gated, denials=denials)
 
 
 SS2PL_SPEC = register_spec(

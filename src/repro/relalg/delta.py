@@ -273,8 +273,15 @@ class DProject(DeltaNode):
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
         projector = self.projector
         out: Delta = {}
+        get = out.get
         for row, c in (slots[0] or {}).items():
-            _merge(out, projector(row), c)
+            # _merge, inlined: this and the join are the innermost loops.
+            projected = projector(row)
+            n = get(projected, 0) + c
+            if n:
+                out[projected] = n
+            else:
+                del out[projected]
         return out
 
 
@@ -426,10 +433,14 @@ class DSetOp(DeltaNode):
     """Set operations as per-row multiplicity functions of the two
     sides' counts — transliterating the interpreted operators'
     semantics (``except``/``union``/``intersect`` are SET-valued,
-    ``union_all``/``except_all`` bag-valued)."""
+    ``union_all``/``except_all`` bag-valued).
+
+    ``union_all`` is linear in both sides (Δout = Δleft + Δright), so
+    it is a stateless merge and keeps no counts; the others are not
+    and keep one count per row per side.
+    """
 
     _FUNCS: dict[str, Callable[[int, int], int]] = {
-        "union_all": lambda l, r: l + r,
         "union": lambda l, r: 1 if (l or r) else 0,
         "except": lambda l, r: 1 if (l and not r) else 0,
         "except_all": lambda l, r: l - r if l > r else 0,
@@ -442,7 +453,7 @@ class DSetOp(DeltaNode):
     def __init__(self, schema: Schema, kind: str) -> None:
         self.schema = schema
         self.kind = kind
-        self.fn = self._FUNCS[kind]
+        self.fn = None if kind == "union_all" else self._FUNCS[kind]
         self.left_counts: dict = {}
         self.right_counts: dict = {}
 
@@ -453,13 +464,22 @@ class DSetOp(DeltaNode):
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
         dl, dr = slots
         fn = self.fn
+        if fn is None:
+            if not dr:
+                return dl or {}
+            if not dl:
+                return dr
+            out = dict(dl)
+            for row, c in dr.items():
+                _merge(out, row, c)
+            return out
         left, right = self.left_counts, self.right_counts
         rows: set = set()
         if dl:
             rows.update(dl)
         if dr:
             rows.update(dr)
-        out: Delta = {}
+        out = {}
         for row in rows:
             lo = left.get(row, 0)
             ro = right.get(row, 0)
@@ -507,6 +527,7 @@ class DInnerJoin(DeltaNode):
         dl, dr = slots
         test = self.test
         out: Delta = {}
+        get = out.get
         if dl:
             left_key = self.left_key
             for lr, cl in dl.items():
@@ -515,7 +536,12 @@ class DInnerJoin(DeltaNode):
                     for rr, cr in bucket.items():
                         combined = lr + rr
                         if test is None or test(combined):
-                            _merge(out, combined, cl * cr)
+                            # _merge, inlined (innermost loop).
+                            n = get(combined, 0) + cl * cr
+                            if n:
+                                out[combined] = n
+                            else:
+                                del out[combined]
             for lr, cl in dl.items():
                 _bucket_bump(self.left_index, left_key(lr), lr, cl)
         if dr:
@@ -526,7 +552,11 @@ class DInnerJoin(DeltaNode):
                     for lr, cl in bucket.items():
                         combined = lr + rr
                         if test is None or test(combined):
-                            _merge(out, combined, cl * cr)
+                            n = get(combined, 0) + cl * cr
+                            if n:
+                                out[combined] = n
+                            else:
+                                del out[combined]
             for rr, cr in dr.items():
                 _bucket_bump(self.right_index, right_key(rr), rr, cr)
         return out
@@ -818,6 +848,11 @@ class DMaterialize(DeltaNode):
     so a consumer that turns result rows into objects every step pays
     per *changed* row, like every other operator, and a row that left
     and came back is decoded afresh.
+
+    ``decoded`` has ``out``'s keys in ``out``'s order; a row's slot is
+    ``None`` from entering the result until the next read, which
+    decodes the rows in ``entered`` and, while the result is a set,
+    hands out ``decoded``'s values as they stand.
     """
 
     label = "materialize"
@@ -827,38 +862,49 @@ class DMaterialize(DeltaNode):
         self.out: dict = {}
         self.decode: Optional[Callable[[tuple], Any]] = None
         self.decoded: dict = {}
+        #: Rows that entered the result since the last read.
+        self.entered: list[tuple] = []
+        #: Sum of ``out``'s multiplicities.
+        self.size = 0
 
     def reset(self) -> None:
         self.out = {}
         self.decoded = {}
+        self.entered = []
+        self.size = 0
 
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
+        out, decoded = self.out, self.decoded
         for row, c in (slots[0] or {}).items():
-            __, new = _bump(self.out, row, c)
+            old, new = _bump(out, row, c)
+            self.size += c
             if not new:
-                self.decoded.pop(row, None)
+                del decoded[row]
+            elif not old:
+                decoded[row] = None
+                self.entered.append(row)
         return {}
 
     def rows(self) -> list[tuple]:
+        if self.size == len(self.out):
+            return list(self.out)
         rows: list[tuple] = []
         for row, count in self.out.items():
-            if count == 1:
-                rows.append(row)
-            else:
-                rows.extend([row] * count)
+            rows.extend([row] * count)
         return rows
 
     def decoded_rows(self) -> list:
         decoded = self.decoded
+        for row in self.entered:
+            # Not a row that left again, or entered twice.
+            if decoded.get(row, row) is None:
+                decoded[row] = self.decode(row)
+        self.entered.clear()
+        if self.size == len(decoded):
+            return list(decoded.values())
         objects: list = []
-        for row, count in self.out.items():
-            obj = decoded.get(row)
-            if obj is None:
-                obj = decoded[row] = self.decode(row)
-            if count == 1:
-                objects.append(obj)
-            else:
-                objects.extend([obj] * count)
+        for obj, count in zip(decoded.values(), self.out.values()):
+            objects.extend([obj] * count)
         return objects
 
 
@@ -1092,9 +1138,10 @@ class _Lowering:
 class DeltaPlan:
     """A query lowered once to delta operators, maintained many times.
 
-    :meth:`refresh` pulls each base table's journal delta, propagates it
-    through the operator DAG in topological order, and returns the
-    maintained result relation — O(|delta|) per step.  The first
+    :meth:`refresh` pulls each base table's journal delta and propagates
+    it through the operator DAG in topological order — O(|delta|) per
+    step; it returns nothing, the maintained result is read with
+    :meth:`rows` / :meth:`decoded_rows`.  The first
     refresh (and any refresh after a journal truncation or an
     impossible state transition) falls back to a full rebuild: every
     node's state is reset and the tables' current contents are replayed
@@ -1131,7 +1178,7 @@ class DeltaPlan:
 
     # -- maintenance ------------------------------------------------------
 
-    def refresh(self) -> Relation:
+    def refresh(self) -> None:
         started = perf_counter()
         last: dict[str, Any] = {
             "inserts": 0,
@@ -1186,7 +1233,6 @@ class DeltaPlan:
         last["maintain_s"] = elapsed
         last["operator_s"] = step_ops
         self.last = last
-        return Relation(self.schema, self.materialized.rows())
 
     def _rebuild(self, op_s: Optional[dict[str, float]] = None) -> None:
         self.stats["rebuilds"] += 1
@@ -1224,8 +1270,12 @@ class DeltaPlan:
                     )
                 slot = slots[port]
                 if slot is None:
-                    slots[port] = dict(delta)
+                    # No operator mutates its inputs, so every parent
+                    # port may hold the same dict; only a second delta
+                    # for one port (a seed, then the output) copies.
+                    slots[port] = delta
                 else:
+                    slot = slots[port] = dict(slot)
                     for row, c in delta.items():
                         _merge(slot, row, c)
 
@@ -1263,8 +1313,10 @@ class DeltaPlan:
         leaves the result, so *decode* must build values that are safe
         to share (immutable) and never ``None``.
         """
-        self.materialized.decode = decode
-        self.materialized.decoded = {}
+        root = self.materialized
+        root.decode = decode
+        root.decoded = dict.fromkeys(root.out)
+        root.entered = list(root.out)
 
     def decoded_rows(self) -> list:
         """The maintained result as decoded objects, in :meth:`rows`

@@ -337,11 +337,13 @@ class Table:
     def as_relation(self, alias: Optional[str] = None) -> Relation:
         """Snapshot the table as a relation, optionally re-qualified.
 
-        The rows list is shared (copy-on-write discipline: operators never
-        mutate input rows), so snapshots are O(1).
+        The row list is copied — O(|rows|) — so the relation stays what
+        the table held at this call whatever is inserted or deleted
+        later; the row tuples themselves are shared (operators never
+        mutate input rows).  :attr:`rows` is the live list.
         """
         schema = self.schema.qualify(alias) if alias else self.schema
-        return Relation(schema, self._rows)
+        return Relation(schema, list(self._rows))
 
     @property
     def rows(self) -> list[tuple]:

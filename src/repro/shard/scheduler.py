@@ -526,6 +526,7 @@ class ShardedScheduler:
         drained = pending_before = history_rows = 0
         query_seconds = 0.0
         handled: set[int] = set()
+        forwarded = self._requests
         for source, shard in enumerate(self.shards):
             shard_started = time.perf_counter()
             result = shard.step(now)
@@ -536,8 +537,16 @@ class ShardedScheduler:
             pending_before += result.pending_before
             history_rows += result.history_rows
             query_seconds += result.query_seconds
+            # Denials are keyed by the client's own request ids.
             for rid, reason in result.denials.items():
-                denials[self._original_id(rid)] = reason
+                entry = forwarded.get(rid)
+                if entry is not None:
+                    state, idx = entry
+                    if idx != _TERM:
+                        rid = state.statements[idx].id
+                    elif state.termination:
+                        rid = state.termination.id
+                denials[rid] = reason
             for request in result.qualified:
                 self._process_grant(source, request, qualified, now)
             for kind, entries in (
@@ -965,15 +974,6 @@ class ShardedScheduler:
         self._by_incarnation.pop(state.ta, None)
 
     # -- introspection -------------------------------------------------------
-
-    def _original_id(self, forwarded_id: int) -> int:
-        entry = self._requests.get(forwarded_id)
-        if entry is None:
-            return forwarded_id
-        state, idx = entry
-        if idx == _TERM:
-            return state.termination.id if state.termination else forwarded_id
-        return state.statements[idx].id
 
     def _work_remains(self) -> bool:
         if self._route_queue:

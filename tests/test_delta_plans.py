@@ -12,18 +12,27 @@ compare multisets against the interpreted reference each step.
 A second group pins the lowering *refusals* (order-dependent or
 key-less shapes the engine cannot maintain exactly) and the bounded
 delta journal the plans consume.
+
+A third states the O(|delta|) claim as operation counts — inside the
+plan (work follows the delta, not the depth of history) and around it
+(the hand-off, the program-order gate and the recovery bookkeeping read
+what a step changed, and are checked against the walk-everything code
+they replaced).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
 import pytest
 
+from repro.model.request import NO_OBJECT, Operation, Request
 from repro.relalg.delta import (
     DeltaLoweringError,
     DeltaPlan,
+    DSetOp,
     lower_delta_plan,
 )
 from repro.relalg.expressions import col, is_null, lit
@@ -73,7 +82,8 @@ def assert_incremental_matches(
     plan.decode_with(_decode)
     for step in range(steps):
         _mutate(rng, tables)
-        got = Counter(plan.refresh().rows)
+        plan.refresh()
+        got = Counter(plan.rows())
         want = Counter(make_query().execute().rows)
         assert got == want, f"divergence after mutation {step}"
         # The decode-once view is the same multiset, row for row.
@@ -166,7 +176,8 @@ class TestAggregates:
             [], [("count", "*", "n"), ("sum", "r.object", "total")]
         )
         plan = lower_delta_plan(make())
-        assert Counter(plan.refresh().rows) == Counter(make().execute().rows)
+        plan.refresh()
+        assert Counter(plan.rows()) == Counter(make().execute().rows)
         assert_incremental_matches(make, [requests], seed=6)
 
 
@@ -460,3 +471,333 @@ class TestWorkFollowsDeltaNotDepth:
         shallow, deep = per_depth[1_000], per_depth[30_000]
         assert shallow[1:] == deep[1:]
         assert all(rows > 0 for rows in deep[1:])
+
+
+class TestStepCostsWhatChanged:
+    """What surrounds the delta query, as counts: with ~10^3 blocked
+    rows pending, a steady-state step never walks the pending table
+    (``delete_rows``' own scan aside), never materializes the result as
+    rows, and formats no denial text it has formatted before."""
+
+    BLOCKED = 125  # transactions, 8 rows each
+
+    def _contended_scheduler(self):
+        from repro import api
+
+        scheduler = api.make_scheduler(
+            "ss2pl", "compiled-delta",
+            recovery=api.RecoveryPolicy(request_timeout=1e6, orphan_lease=1e6),
+        )
+        ids = iter(range(1, 1 << 30))
+
+        def submit(ta, intrata, operation, obj):
+            scheduler.submit(Request(next(ids), ta, intrata, operation, obj))
+
+        # Transaction 1 takes write locks on the hot objects and stays
+        # open; everyone else's first statement waits for one of them,
+        # so their later statements are lock-free but out of order.
+        for intrata in range(8):
+            submit(1, intrata, Operation.WRITE, intrata)
+        scheduler.step(0.0)
+        for ta in range(2, 2 + self.BLOCKED):
+            submit(ta, 0, Operation.WRITE, ta % 8)
+            for intrata in range(1, 8):
+                submit(ta, intrata, Operation.WRITE, 1_000 * ta + intrata)
+        scheduler.step(0.0)
+        assert len(scheduler.pending) == 8 * self.BLOCKED
+        return scheduler, submit
+
+    def test_steady_state_step_reads_what_changed(self, monkeypatch):
+        from repro.relalg import delta
+
+        scheduler, submit = self._contended_scheduler()
+        pending = scheduler.pending.table
+        walks: list[str] = []
+        live_rows = Table.rows.fget
+        live_iter = Table.__iter__
+
+        def rows(table):
+            if table is pending:
+                walks.append("rows")
+            return live_rows(table)
+
+        def iterate(table):
+            if table is pending:
+                walks.append("__iter__")
+            return live_iter(table)
+
+        monkeypatch.setattr(Table, "rows", property(rows))
+        monkeypatch.setattr(Table, "__iter__", iterate)
+        monkeypatch.setattr(
+            delta.DMaterialize, "rows", lambda self: walks.append("result rows")
+        )
+        texts: dict[str, str] = {}
+        granted = 0
+        for step in range(1, 21):
+            # A short transaction on fresh objects: real work every step.
+            ta = 10_000 + step
+            submit(ta, 0, Operation.WRITE, 10_000_000 + step)
+            submit(ta, 1, Operation.COMMIT, NO_OBJECT)
+            result = scheduler.step(float(step))
+            granted += result.batch_size
+            assert len(result.denials) >= 7 * self.BLOCKED
+            for text in result.denials.values():
+                assert text.startswith("out of program order")
+                assert texts.setdefault(text, text) is text
+        assert granted == 40
+        assert len(texts) == 7  # intrata 1..7 over executed 0
+        assert walks == []
+        scheduler.protocol.reset()
+
+
+class TestRecoveryBookkeepingFollowsTheStep:
+    """Arming the pending clocks from the step's own drained and
+    granted requests, and skipping the timeout sweep under the floor,
+    is the old walk-everything bookkeeping, step for step."""
+
+    @staticmethod
+    def _reference_class():
+        from repro.core.scheduler import DeclarativeScheduler
+
+        class WalksEverything(DeclarativeScheduler):
+            """The bookkeeping as it was: arm by walking every pending
+            row, sweep every tracked transaction every step."""
+
+            def _note_progress(self, drained, qualified, now):
+                for request in qualified:
+                    self._pending_since.pop(request.ta, None)
+                    if request.operation.is_termination:
+                        client = self._client_of_ta.pop(request.ta, None)
+                        self._arrival_of_ta.pop(request.ta, None)
+                        self._priority_of_ta.pop(request.ta, None)
+                        if request.is_commit and client is not None:
+                            self._retries_of_client.pop(client, None)
+                if len(self.pending):
+                    ta_pos = self.pending.table.schema.resolve("ta")
+                    for row in self.pending.table.rows:
+                        self._pending_since.setdefault(row[ta_pos], now)
+
+            def _recover(self, now, actions):
+                policy = self.recovery
+                for ta, since in list(self._pending_since.items()):
+                    client = self._client_of_ta.get(ta, 0)
+                    timeout = policy.timeout_for(
+                        self._retries_of_client.get(client, 0)
+                    )
+                    if now - since > timeout:
+                        abort = self.abort_transaction(ta, now, reason="timeout")
+                        self._retries_of_client[client] = (
+                            self._retries_of_client.get(client, 0) + 1
+                        )
+                        actions.timeouts.append((ta, abort))
+                for ta, orphaned_at in list(self._orphaned_at.items()):
+                    if ta not in self._client_of_ta:
+                        self._orphaned_at.pop(ta)
+                        continue
+                    if now - orphaned_at >= policy.orphan_lease:
+                        self._orphaned_at.pop(ta)
+                        abort = self.abort_transaction(ta, now, reason="orphan")
+                        actions.orphans.append((ta, abort))
+
+        return WalksEverything
+
+    def test_same_clocks_timeouts_orphans_and_batches(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro import api
+        from repro.core.scheduler import DeclarativeScheduler
+        from repro.model.request import RequestAttributes
+
+        reference_class = self._reference_class()
+        tas = st.integers(1, 6)
+        action = st.one_of(
+            st.tuples(st.just("access"), tas, st.sampled_from("rw"), st.integers(0, 3)),
+            st.tuples(st.just("commit"), tas),
+            st.tuples(st.just("step")),
+            # Negative: ``now`` is the caller's and need not be monotone.
+            st.tuples(st.just("advance"), st.sampled_from([0.2, 0.6, 1.1, 2.5, -0.7])),
+            st.tuples(st.just("crash"), st.integers(0, 2)),
+            st.tuples(st.just("abort"), tas),
+        )
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(action, min_size=4, max_size=60))
+        def run(script):
+            policy = api.RecoveryPolicy(
+                request_timeout=1.0, backoff_factor=2.0, orphan_lease=1.5
+            )
+            pair = [
+                cls(api.make_protocol("ss2pl", "compiled-delta"), recovery=policy)
+                for cls in (DeclarativeScheduler, reference_class)
+            ]
+            try:
+                now = 0.0
+                next_id = 0
+                intrata_of: dict[int, int] = {}
+
+                def submit(ta, operation, obj):
+                    nonlocal next_id
+                    next_id += 1
+                    intrata = intrata_of.get(ta, 0)
+                    intrata_of[ta] = intrata + 1
+                    request = Request(
+                        next_id, ta, intrata, operation, obj,
+                        RequestAttributes(client_id=ta % 3),
+                    )
+                    for scheduler in pair:
+                        scheduler.submit(request, now)
+
+                for kind, *args in script + [("advance", 40.0), ("step",)]:
+                    if kind == "access":
+                        ta, code, obj = args
+                        submit(ta, Operation.from_code(code), obj)
+                    elif kind == "commit":
+                        submit(args[0], Operation.COMMIT, NO_OBJECT)
+                    elif kind == "advance":
+                        now += args[0]
+                    elif kind == "crash":
+                        for scheduler in pair:
+                            scheduler.note_client_crashed(args[0], now)
+                    elif kind == "abort":
+                        aborts = [s.abort_transaction(args[0], now) for s in pair]
+                        assert aborts[0] == aborts[1]
+                    else:
+                        new, old = (scheduler.step(now) for scheduler in pair)
+                        assert new.qualified == old.qualified
+                        assert new.denials == old.denials
+                        assert new.recovery == old.recovery
+                    new, old = pair
+                    # Items, not the dict: the order is the order a
+                    # sweep aborts in.
+                    assert list(new._pending_since.items()) == list(
+                        old._pending_since.items()
+                    )
+                    assert new._orphaned_at == old._orphaned_at
+                    assert new._retries_of_client == old._retries_of_client
+                    assert new._pending_since_floor <= min(
+                        new._pending_since.values(), default=math.inf
+                    )
+                    assert set(new._drain_seq) == set(new.pending.table.attrs_by_id)
+            finally:
+                for scheduler in pair:
+                    scheduler.protocol.reset()
+
+        run()
+
+
+def _gate_as_it_was(decision, requests, history):
+    """``gate_program_order`` before it became one pass, verbatim."""
+    from repro.protocols.base import ProtocolDecision
+
+    if not decision.qualified:
+        return decision
+    candidate_tas = {request.ta for request in decision.qualified}
+    executed: dict[int, int] = {}
+    ta_index = history.index_on("ta")
+    if ta_index is not None:
+        for ta in candidate_tas:
+            bucket = ta_index.buckets.get((ta,))
+            if bucket:
+                executed[ta] = len(bucket)
+    else:
+        history_ta_pos = history.schema.resolve("ta")
+        for row in history.rows:
+            ta = row[history_ta_pos]
+            if ta in candidate_tas:
+                executed[ta] = executed.get(ta, 0) + 1
+    gated = ProtocolDecision(denials=dict(decision.denials))
+    progress = dict(executed)
+    for request in decision.qualified:
+        done = progress.get(request.ta, 0)
+        if request.intrata != done:
+            gated.denials[request.id] = (
+                f"out of program order: intrata {request.intrata}, "
+                f"executed {done}"
+            )
+            continue
+        if request.operation.is_termination or request.operation.is_data_access:
+            gated.qualified.append(request)
+            progress[request.ta] = done + 1
+    return gated
+
+
+class TestGateIsOnePass:
+    @pytest.mark.parametrize("indexed", [True, False], ids=["ta-index", "bare"])
+    def test_same_grants_and_denials_as_the_old_gate(self, indexed):
+        from repro.protocols.base import ProtocolDecision
+        from repro.protocols.library import gate_program_order
+
+        rng = random.Random(24)
+        for __ in range(300):
+            history = Table("history", COLUMNS)
+            if indexed:
+                history.create_index("ta")
+            rid = 0
+            for ta in range(1, 7):
+                for intrata in range(rng.randrange(4)):
+                    rid += 1
+                    history.insert((rid, ta, intrata, "w", rid))
+            candidates = []
+            for __ in range(rng.randrange(12)):
+                rid += 1
+                if rng.random() < 0.25:  # commits, some before their data accesses
+                    operation, obj = Operation.COMMIT, NO_OBJECT
+                else:
+                    operation, obj = rng.choice([Operation.READ, Operation.WRITE]), rid
+                # Gaps and duplicate intratas on purpose.
+                candidates.append(
+                    Request(rid, rng.randrange(1, 9), rng.randrange(5), operation, obj)
+                )
+            earlier = {-rid: "held elsewhere" for rid in range(rng.randrange(3))}
+            if candidates and rng.random() < 0.3:
+                earlier[candidates[0].id] = "overwritten when out of order"
+            new = gate_program_order(
+                ProtocolDecision(list(candidates), dict(earlier)), None, history
+            )
+            old = _gate_as_it_was(
+                ProtocolDecision(list(candidates), dict(earlier)), None, history
+            )
+            assert new.qualified == old.qualified
+            assert list(new.denials.items()) == list(old.denials.items())
+
+
+class TestStatelessUnionAndSharedRouting:
+    def test_union_all_keeps_no_rows(self, requests, history):
+        def make():
+            left = Query.from_(requests, "r").select("r.ta", "r.object")
+            right = Query.from_(history, "h").select("h.ta", "h.object")
+            return left.union_all(right).union_all(left)
+
+        plan = assert_incremental_matches(make, [requests, history], seed=21)
+        unions = [node for node in plan.order if isinstance(node, DSetOp)]
+        assert [node.kind for node in unions] == ["union_all", "union_all"]
+        assert plan.rows()  # the script left something to forget
+        for node in unions:
+            assert node.left_counts == {} and node.right_counts == {}
+
+    def test_one_output_routed_to_two_parents(self, requests, history):
+        # A shared CTE feeding a join and a set operation: both parents
+        # are handed the same delta dict, under inserts and retractions.
+        def make():
+            writers = cte(
+                Query.from_(requests, "r")
+                .where(col("r.operation") == lit("w"))
+                .select("r.ta", "r.object"),
+                "Writers",
+            )
+            joined = (
+                Query.from_(writers, "a")
+                .join(Query.from_(history, "h"), on=col("a.object") == col("h.object"))
+                .select("a.ta", "h.object")
+            )
+            return joined.union_all(
+                Query.from_(writers, "b").select("b.ta", "b.object")
+            ).except_(Query.from_(history, "g").select("g.ta", "g.object"))
+
+        plan = assert_incremental_matches(make, [requests, history], seed=22, steps=80)
+        fan_out = [
+            node for node in plan.order
+            if node.arity and len(plan.parents.get(id(node), ())) > 1
+        ]
+        assert fan_out, plan.explain()

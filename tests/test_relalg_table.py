@@ -78,6 +78,20 @@ class TestRelationView:
     def test_column_values(self, table):
         assert table.as_relation().column_values("ta") == [10, 10, 11]
 
+    def test_snapshot_ignores_later_inserts_and_deletes(self, table):
+        # The live list would take the insert (append) and miss the
+        # delete (which rebinds the list): a state the table never held.
+        before = list(table.rows)
+        snapshot = table.as_relation()
+        table.insert((4, 12, 7))
+        table.delete_rows([(1, 10, 5)])
+        assert snapshot.rows == before
+        snapshot = table.as_relation()
+        table.insert((5, 12, 8))
+        table.delete_where(lambda row: row[0] == 2)
+        assert snapshot.rows == [(2, 10, 6), (3, 11, 5), (4, 12, 7)]
+        assert table.rows == [(3, 11, 5), (4, 12, 7), (5, 12, 8)]
+
 
 class TestCatalog:
     def test_create_get_drop(self):

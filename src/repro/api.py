@@ -222,13 +222,19 @@ def make_scheduler(
     :class:`DeclarativeScheduler`.  ``shards=N`` returns a
     :class:`~repro.shard.scheduler.ShardedScheduler` over N independent
     schedulers — each with its own freshly built protocol and trigger —
-    partitioned by object-id hash, with ``shard_route`` choosing the
-    multi-object path (``"two-phase"`` reserve/commit or the unsound
-    ``"home"`` comparison baseline) and ``cross_shard`` tuning the
-    two-phase timeouts/backoff.  Protocol and trigger *instances*
-    cannot be sharded (shards must not share mutable policy state);
-    pass registry names / string spellings instead.
+    partitioned by object-id hash; multi-object transactions take the
+    two-phase reserve/commit path, whose timeout and backoff
+    ``cross_shard`` sets.  ``shard_route`` accepts only ``"two-phase"``,
+    the one route, for callers that spell it.  Protocol and trigger
+    *instances* cannot be sharded (shards must not share mutable policy
+    state); pass registry names / string spellings instead.
     """
+    if shard_route != "two-phase":
+        raise ValueError(
+            f"shard_route {shard_route!r} was removed: 'two-phase' "
+            "reserve/commit is the one cross-shard route"
+        )
+
     def build_one() -> DeclarativeScheduler:
         return DeclarativeScheduler(
             make_protocol(protocol, backend, clients=clients, **backend_options),
@@ -257,7 +263,6 @@ def make_scheduler(
     shard_schedulers = [build_one() for __ in range(shards)]
     return ShardedScheduler(
         shard_schedulers,
-        route=shard_route,
         cross_shard=cross_shard,
         metrics=metrics,
         clock=clock,
@@ -278,7 +283,6 @@ def open_service(
     metrics: Optional[MetricsCollector] = None,
     check_invariants: bool = False,
     shards: Optional[int] = None,
-    shard_route: str = "two-phase",
     cross_shard: Optional[CrossShardPolicy] = None,
     **backend_options,
 ) -> SchedulerService:
@@ -298,8 +302,7 @@ def open_service(
     :class:`~repro.shard.scheduler.ShardedScheduler` instead: pooled
     sessions route transparently, ``--check-invariants`` keeps working
     globally (per-shard monitors plus the cross-shard grant-union
-    check).  See :func:`make_scheduler` for ``shard_route`` /
-    ``cross_shard``.
+    check).  See :func:`make_scheduler` for ``cross_shard``.
     """
     if recovery is None:
         recovery = RecoveryPolicy()
@@ -313,7 +316,6 @@ def open_service(
         admission=admission,
         clients=max_sessions,
         shards=shards,
-        shard_route=shard_route,
         cross_shard=cross_shard,
         **backend_options,
     )

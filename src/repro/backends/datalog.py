@@ -10,6 +10,8 @@ and the last evaluation is kept for why-provenance
 
 from __future__ import annotations
 
+from typing import Any, Callable, Sequence
+
 from repro.backends.base import (
     ExecutionBackend,
     SpecEvaluator,
@@ -23,6 +25,29 @@ from repro.protocols.spec import ProtocolSpec
 from repro.relalg.table import Table
 
 
+def evaluate_rules(
+    program: Program,
+    requests: Table,
+    history: Table,
+    decode: Callable[[Sequence], Any],
+    denial: str,
+) -> tuple[ProtocolDecision, Database]:
+    """One scheduling step of a Datalog rule set: load the two relations
+    as facts, evaluate to fixpoint, decode ``qualified`` in row order
+    and attribute every ``denied`` id the *denial* text.  Returns the
+    decision and the evaluated database (for why-provenance)."""
+    db = Database()
+    db.add_facts("requests", requests.rows)
+    db.add_facts("history", history.rows)
+    evaluate(program, db)
+    decision = ProtocolDecision(
+        qualified=[decode(row) for row in sorted(db.facts("qualified"))]
+    )
+    for fact in db.facts("denied"):
+        decision.denials[fact[0]] = denial
+    return decision, db
+
+
 class DatalogEvaluator(SpecEvaluator):
     def __init__(self, spec: ProtocolSpec) -> None:
         self._spec = spec
@@ -31,20 +56,10 @@ class DatalogEvaluator(SpecEvaluator):
         self._last_db: Database | None = None
 
     def evaluate(self, requests: Table, history: Table) -> ProtocolDecision:
-        db = Database()
-        db.add_facts("requests", requests.rows)
-        db.add_facts("history", history.rows)
-        evaluate(self.program, db)
-        self._last_db = db
-        decision = ProtocolDecision(
-            qualified=[
-                Request.from_row(row) for row in sorted(db.facts("qualified"))
-            ]
+        decision, self._last_db = evaluate_rules(
+            self.program, requests, history, Request.from_row,
+            f"denied by {self._spec.name} rules",
         )
-        for fact in db.facts("denied"):
-            decision.denials[fact[0]] = (
-                f"denied by {self._spec.name} rules"
-            )
         return decision
 
     def explain_denial(self, request_id: int) -> str:

@@ -610,7 +610,6 @@ def _cmd_serve(args) -> int:
             max_pipeline=args.pipeline,
             check_invariants=args.check_invariants,
             shards=args.shards,
-            shard_route=args.shard_route,
         )
     except (BackendError, ValueError) as error:
         print(str(error), file=sys.stderr)
@@ -628,11 +627,7 @@ def _cmd_serve(args) -> int:
             final = service.final_check()
         return report, final
 
-    sharding = (
-        f", {args.shards} shards ({args.shard_route})"
-        if args.shards is not None
-        else ""
-    )
+    sharding = f", {args.shards} shards" if args.shards is not None else ""
     print(
         f"serving workload {args.workload!r} via {protocol}"
         f"{' on ' + backend if backend else ''}: "
@@ -923,15 +918,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve_parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="serve from N hash-partitioned scheduler shards instead "
-        "of one (multi-object requests take the --shard-route path)",
-    )
-    serve_parser.add_argument(
-        "--shard-route",
-        choices=("two-phase", "home"),
-        default="two-phase",
-        help="cross-shard routing for multi-object transactions: "
-        "two-phase reserve/commit (default, sound) or home-shard "
-        "(comparison baseline; unsound for cross-object conflicts)",
+        "of one (multi-object requests take the two-phase "
+        "reserve/commit path)",
     )
     serve_parser.add_argument(
         "--json", metavar="PATH", help="write the run's stats as JSON"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.datalog.engine import Database, evaluate
+from repro.backends.datalog import evaluate_rules
 from repro.datalog.program import Program
 from repro.model.request import Operation
 from repro.protocols.base import Capabilities, Protocol, ProtocolDecision
@@ -120,15 +120,10 @@ class RangeSS2PLProtocol(Protocol):
         self._program = Program.parse(RANGE_SS2PL_RULES)
 
     def schedule(self, requests: Table, history: Table) -> ProtocolDecision:
-        db = Database()
-        db.add_facts("requests", requests.rows)
-        db.add_facts("history", history.rows)
-        evaluate(self._program, db)
-        rows = sorted(db.facts("qualified"))
-        decision = ProtocolDecision()
-        decision.qualified = [RangeRequest.from_row(row) for row in rows]
-        for fact in db.facts("denied"):
-            decision.denials[fact[0]] = "range conflict"
+        decision, __ = evaluate_rules(
+            self._program, requests, history, RangeRequest.from_row,
+            "range conflict",
+        )
         return decision
 
 

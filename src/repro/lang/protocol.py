@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.datalog.engine import Database, evaluate
+from repro.backends.datalog import evaluate_rules
 from repro.lang.compiler import compile_spec
 from repro.lang.parser import parse_sdl
 from repro.model.request import Request
@@ -52,16 +52,11 @@ class SDLProtocol(Protocol):
         self.declarative_source = source
 
     def schedule(self, requests: Table, history: Table) -> ProtocolDecision:
-        db = Database()
-        db.add_facts("requests", requests.rows)
-        db.add_facts("history", history.rows)
-        evaluate(self._program, db)
-        rows = sorted(db.facts("qualified"))
-        qualified = [Request.from_row(row) for row in rows]
-        qualified = self._apply_order(qualified, requests)
-        decision = ProtocolDecision(qualified=qualified)
-        for fact in db.facts("denied"):
-            decision.denials[fact[0]] = "denied by SDL rule"
+        decision, __ = evaluate_rules(
+            self._program, requests, history, Request.from_row,
+            "denied by SDL rule",
+        )
+        decision.qualified = self._apply_order(decision.qualified, requests)
         return decision
 
     def _apply_order(

@@ -9,50 +9,34 @@ and this facade owns only the routing.  Requests are partitioned by
 object-id hash (:mod:`repro.shard.partition`), so every conflict on an
 object is still decided by exactly one shard's declarative protocol.
 
-Transactions that touch objects owned by several shards need a
-cross-shard path.  Two routing modes are provided:
+Transactions that touch objects owned by several shards take one
+cross-shard path, reserve-then-commit.  Submitted statements queue in
+a global FIFO and are routed at the start of the next step, so a
+burst-submitted transaction is classified knowing its full shard span
+before the first statement is forwarded.  Each data statement is then
+forwarded to its owning shard (the *reserve*: the shard's protocol
+grants it a lock under its ordinary rules, with the statement
+renumbered to a dense per-shard ``intrata`` so program-order gates keep
+working).  A first incarnation forwards its reserves as they arrive; a
+retried one acquires them one at a time in global object order.
+Grants are held by the facade and released to the caller strictly in
+original program order; the termination request is broadcast to every
+owning shard only once *all* data statements are granted — the
+*commit* — so no shard releases the transaction's locks while another
+shard is still reserving.
 
-``two-phase`` (default)
-    Reserve-then-commit.  Submitted statements queue in a global FIFO
-    and are routed at the start of the next step, so a burst-submitted
-    transaction is classified knowing its full shard span before the
-    first statement is forwarded.  Each data statement is then
-    forwarded to its owning shard (the *reserve*: the shard's protocol
-    grants it a lock under its ordinary rules, with the statement
-    renumbered to a dense per-shard ``intrata`` so program-order gates
-    keep working).  How a coordinated transaction acquires its
-    reserves is set by ``CrossShardPolicy.reserve_mode``: ``parallel``
-    forwards everything at once (fastest, can deadlock cross-shard),
-    ``ordered`` acquires one statement at a time in global object
-    order (deadlock-free among ordered acquirers, ~2x the latency),
-    and ``escalate`` (default) tries parallel first and
-    switches the transaction to ordered after its first abort.  Grants
-    are held by the facade and released to the caller strictly in
-    original program order; the termination request is broadcast to
-    every owning shard only once *all* data statements are granted —
-    the *commit* — so no shard releases the transaction's locks while
-    another shard is still reserving.  When a reserve makes no
-    progress past ``reserve_timeout`` (scaled by ``ordered_patience``
-    for ordered acquirers, which cannot be deadlocked among
-    themselves), the stall is treated as a cross-shard lock cycle —
-    which no single shard can see: the whole reservation is aborted on
-    every owning shard, parked under exponential backoff, and
-    resubmitted as a fresh *incarnation* (new transaction number, new
-    request ids — shard monitors see a well-formed new transaction,
-    the caller's original ids never reach a terminal state twice).
-    Transactions holding no granted reserve are exempt from the sweep
-    (they block nobody, so they cannot be part of a deadlock cycle —
-    aborting them would only thrash hot-lock convoys).
-    Already-reported grants are not re-reported on re-grant.
-
-``home``
-    Route every statement of a multi-object transaction to the shard
-    owning its *first* object.  No coordination, no retries — and
-    deliberately unsound for cross-object conflicts, because two
-    transactions with different home shards can both be granted writes
-    on the same object.  It exists as the comparison baseline the
-    cross-shard grant-union invariant check is designed to catch (see
-    :class:`_UnionHistory` and DESIGN.md §7).
+A coordinated transaction that holds a granted reserve and makes no
+progress past ``reserve_timeout`` is treated as a cross-shard lock
+cycle, which no single shard can see.  If nothing of it has been
+reported to the caller, the whole reservation is aborted on every
+owning shard, parked under exponential backoff, and resubmitted as a
+fresh *incarnation* (new transaction number, new request ids — shard
+monitors see a well-formed new transaction, the caller's original ids
+never reach a terminal state twice).  Once a grant has been reported
+the caller may have executed it, so the transaction is given up
+instead and surfaced as a ``timeouts`` abort, as a shard's own timeout
+would be.  Transactions holding no granted reserve are never swept:
+they block nobody, so they cannot be part of a deadlock cycle.
 
 Invariant checking stays global: assigning ``monitor`` installs a
 per-shard :class:`~repro.faults.invariants.InvariantMonitor` on every
@@ -60,8 +44,8 @@ shard (shard-local conflicting-grants / lifecycle checks over the
 renumbered requests) while the facade-level monitor checks the
 *original* request stream plus the cross-shard grant-union — the
 no-conflicting-grants sweep evaluated over the union of all shard
-histories, which is exactly the check that distinguishes a sound
-two-phase run from a home-routed one.
+histories (:class:`_UnionHistory`).  An object's rows all live in one
+shard, so a conflict in that union can only come from the routing.
 
 The facade implements the scheduler surface
 :class:`~repro.serve.service.SchedulerService` drives (``submit`` /
@@ -75,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.core.scheduler import (
@@ -85,16 +69,24 @@ from repro.core.scheduler import (
     SchedulerStepResult,
 )
 from repro.faults.invariants import InvariantMonitor
-from repro.model.request import NO_OBJECT, Operation, Request
+from repro.model.request import Operation, Request
 from repro.shard.partition import HashPartitioner
 
-__all__ = ["CrossShardPolicy", "ShardedScheduler", "ROUTES"]
-
-#: Valid ``route=`` spellings.
-ROUTES = ("two-phase", "home")
+__all__ = ["CrossShardPolicy", "ShardedScheduler"]
 
 #: Sentinel statement index marking a forwarded termination request.
 _TERM = -1
+
+#: Multiplier on ``reserve_timeout`` for a retried transaction.  It
+#: acquires in global object order, and ordered acquirers cannot
+#: deadlock among themselves, so its stall almost always means a busy
+#: lock queue, not a cycle.
+ORDERED_PATIENCE = 10.0
+#: Park delay growth per prior retry, and the cap on its exponent.
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_EXPONENT = 6
+#: Retries before the facade gives a transaction up for good.
+MAX_RETRIES = 10
 
 
 def _zero_clock() -> float:
@@ -103,71 +95,28 @@ def _zero_clock() -> float:
 
 @dataclass(frozen=True)
 class CrossShardPolicy:
-    """Knobs of the two-phase reserve/commit path."""
+    """Timeouts of the two-phase reserve/commit path."""
 
-    #: Seconds a coordinated transaction may sit with ungranted
-    #: reserves before the facade aborts and retries it (the
-    #: cross-shard deadlock timeout).
+    #: Seconds a coordinated transaction holding a granted reserve may
+    #: make no progress before the facade treats it as a cross-shard
+    #: deadlock.
     reserve_timeout: float = 0.05
-    #: Base park delay before resubmitting a timed-out reservation.
+    #: Base park delay before resubmitting a retried reservation.
     retry_backoff: float = 0.01
-    #: Multiplier applied to the park delay per prior retry.
-    backoff_factor: float = 2.0
-    #: Cap on the backoff exponent.
-    max_backoff_exponent: int = 6
-    #: Retries before the facade gives up and aborts the transaction
-    #: for good (surfaced as a recovery ``timeout`` action).
-    max_retries: int = 10
-    #: How a coordinated transaction acquires its cross-shard reserves:
-    #:
-    #: ``"parallel"``
-    #:     Forward every statement immediately.  Lowest latency — a
-    #:     transaction spread over N shards can be granted up to N
-    #:     statements per step, one through each shard's program-order
-    #:     gate — but acquisition order is unconstrained, so hot
-    #:     workloads burn abort-and-retry cycles resolving cross-shard
-    #:     deadlocks.
-    #: ``"ordered"``
-    #:     Acquire reserves strictly one at a time in global object
-    #:     order (classical deadlock avoidance: transactions that lock
-    #:     in one total order cannot form a wait cycle among
-    #:     themselves).  Deadlock-free but serial: latency grows with
-    #:     statement count and the per-step parallelism is lost.
-    #: ``"escalate"`` (default)
-    #:     Optimistic-then-conservative: the first incarnation reserves
-    #:     in parallel; a transaction that trips the reserve timeout
-    #:     retries under ordered acquisition.  Bounds deadlock churn to
-    #:     about one abort per unlucky transaction while the common
-    #:     case keeps the parallel fast path.
-    reserve_mode: str = "escalate"
-    #: Multiplier on ``reserve_timeout`` for transactions acquiring in
-    #: ordered mode.  Ordered acquirers cannot deadlock among
-    #: themselves (only against program-order single-shard
-    #: transactions, which is rare), so a stall almost always means a
-    #: busy lock queue, not a cycle — sweeping them at the optimistic
-    #: timeout would abort healthy convoy members over and over.
-    ordered_patience: float = 10.0
+    #: The one reserve protocol's name, accepted for callers that spell it.
+    reserve_mode: InitVar[str] = "escalate"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, reserve_mode: str) -> None:
         if self.reserve_timeout <= 0:
             raise ValueError("reserve_timeout must be positive")
         if self.retry_backoff <= 0:
             raise ValueError("retry_backoff must be positive")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.reserve_mode not in ("parallel", "ordered", "escalate"):
+        if reserve_mode != "escalate":
             raise ValueError(
-                f"unknown reserve_mode {self.reserve_mode!r}; choose "
-                "'parallel', 'ordered' or 'escalate'"
+                f"reserve_mode {reserve_mode!r} was removed: 'escalate' "
+                "(reserve as statements arrive, in object order after a "
+                "retry) is the one cross-shard reserve protocol"
             )
-        if self.ordered_patience < 1.0:
-            raise ValueError("ordered_patience must be >= 1")
-
-    def park_delay_for(self, retries: int) -> float:
-        exponent = min(max(retries - 1, 0), self.max_backoff_exponent)
-        return self.retry_backoff * self.backoff_factor**exponent
 
 
 @dataclass
@@ -183,8 +132,6 @@ class _TaState:
     #: True once the transaction spans more than one shard (two-phase
     #: coordination engaged; sticky across retries).
     coordinated: bool = False
-    #: Home shard (``route="home"`` only).
-    home: Optional[int] = None
     owners: set[int] = field(default_factory=set)
     #: Per-shard count of forwarded requests == next dense intrata.
     shard_counts: dict[int, int] = field(default_factory=dict)
@@ -192,8 +139,8 @@ class _TaState:
     forwarded: int = 0
     #: Statement indices granted in the current incarnation.
     granted: set[int] = field(default_factory=set)
-    #: Statement indices already reported to the caller (survives
-    #: retries: a re-granted reserve is never re-reported).
+    #: Statement indices already reported to the caller (empty whenever
+    #: the transaction parks: a reported grant is never retried).
     reported: set[int] = field(default_factory=set)
     #: Statement indices awaiting their turn under ordered reserves.
     queued: list[int] = field(default_factory=list)
@@ -332,17 +279,13 @@ class ShardedScheduler:
         self,
         shards: Sequence[DeclarativeScheduler],
         *,
-        route: str = "two-phase",
         cross_shard: Optional[CrossShardPolicy] = None,
         metrics=None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if not shards:
             raise ValueError("need at least one shard")
-        if route not in ROUTES:
-            raise ValueError(f"unknown route {route!r}; choose from {ROUTES}")
         self.shards = list(shards)
-        self.route = route
         self.cross_shard = cross_shard if cross_shard is not None else CrossShardPolicy()
         self.partitioner = HashPartitioner(len(self.shards))
         self.metrics = metrics
@@ -355,9 +298,9 @@ class ShardedScheduler:
         self._requests: dict[int, tuple[_TaState, int]] = {}
         #: Submitted-but-unrouted requests, global FIFO: routing is
         #: deferred to the next step so a burst-submitted transaction
-        #: is routed knowing its full shard span (coordination — and
-        #: the ordered lock-acquisition order — is decided before the
-        #: first statement is forwarded, not discovered midway).
+        #: is routed knowing its full shard span (coordination is
+        #: decided before the first statement is forwarded, not
+        #: discovered midway).
         self._route_queue: list[tuple[_TaState, int, float]] = []
         #: Transaction numbers for retry incarnations: negative and far
         #: below the shards' own synthesized-abort ids.
@@ -452,15 +395,8 @@ class ShardedScheduler:
         if self._route_queue:
             return True
         for state in self._states.values():
-            if state.parked_until is not None and now >= state.parked_until:
-                return True
-            if (
-                state.coordinated
-                and state.granted
-                and state.parked_until is None
-                and state.reserve_since is not None
-                and now - state.reserve_since >= self._stall_timeout(state)
-            ):
+            due = self._timer_due(state)
+            if due is not None and now >= due:
                 return True
         return any(shard.should_run(now) for shard in self.shards)
 
@@ -473,16 +409,9 @@ class ShardedScheduler:
             if due is not None:
                 deadlines.append(due)
         for state in self._states.values():
-            if state.parked_until is not None:
-                deadlines.append(state.parked_until)
-            elif (
-                state.coordinated
-                and state.granted
-                and state.reserve_since is not None
-            ):
-                deadlines.append(
-                    state.reserve_since + self._stall_timeout(state)
-                )
+            due = self._timer_due(state)
+            if due is not None:
+                deadlines.append(due)
         return min(deadlines) if deadlines else None
 
     def note_client_crashed(self, client_id: int, now: float) -> None:
@@ -621,21 +550,16 @@ class ShardedScheduler:
     # -- routing internals ---------------------------------------------------
 
     def _owner_of(self, state: _TaState, request: Request) -> int:
-        if self.route == "home":
-            if state.home is None:
-                if request.obj != NO_OBJECT:
-                    state.home = self.partitioner.shard_of(request.obj)
-                else:
-                    state.home = self.partitioner.fallback_for(state.ta)
-            return state.home
+        """The shard a statement is forwarded to.  ``state`` is unused
+        here; the test suite's deliberately unsound router overrides
+        this to place by transaction."""
         return self.partitioner.shard_of(request.obj)
 
     def _drain_route_queue(self) -> None:
         """Route everything submitted since the last step, in global
         submission order.  Routing is deferred to step time so a
         burst-submitted transaction is classified (single-shard vs
-        coordinated) knowing every statement of the burst — ordered
-        reserves then start from the true global lock order instead of
+        coordinated) knowing every statement of the burst instead of
         discovering the shard span after the first eager forward."""
         queue, self._route_queue = self._route_queue, []
         for state, idx, submitted_at in queue:
@@ -650,8 +574,8 @@ class ShardedScheduler:
             self._route_data(state, idx, submitted_at)
 
     def _route_data(self, state: _TaState, idx: int, now: float) -> None:
-        """Dispatch one data statement: eager forward, or (ordered
-        reserves, coordinated transaction) enqueue for its turn."""
+        """Dispatch one data statement: eager forward, or (a retried
+        coordinated transaction) enqueue for its turn in object order."""
         request = state.statements[idx]
         owner = self._owner_of(state, request)
         if not state.coordinated:
@@ -661,21 +585,11 @@ class ShardedScheduler:
                 state.coordinated = True
                 if self.metrics is not None:
                     self.metrics.incr("scheduler.xshard.coordinated")
-        if (
-            state.coordinated
-            and self.route == "two-phase"
-            and self._ordered_now(state)
-        ):
+        if state.coordinated and state.retries > 0:
             state.queued.append(idx)
             self._pump(state, now)
         else:
             self._forward_to(state, idx, owner, now)
-
-    def _ordered_now(self, state: _TaState) -> bool:
-        """Whether this transaction acquires reserves one at a time in
-        global object order (see :attr:`CrossShardPolicy.reserve_mode`)."""
-        mode = self.cross_shard.reserve_mode
-        return mode == "ordered" or (mode == "escalate" and state.retries > 0)
 
     def _pump(self, state: _TaState, now: float) -> None:
         """Ordered sequential reserve: once every forwarded data
@@ -731,11 +645,7 @@ class ShardedScheduler:
             # Two-phase commit point: broadcast c/a only once every
             # data statement has been reserved (granted) everywhere, so
             # no shard releases locks while another is still reserving.
-            if (
-                state.forwarded < len(state.statements)
-                or len(state.granted) < len(state.statements)
-                or len(state.reported) < len(state.statements)
-            ):
+            if len(state.granted) < len(state.statements):
                 return
         request = state.termination
         owners = set(state.owners)
@@ -790,9 +700,8 @@ class ShardedScheduler:
             return
         state.granted.add(idx)
         if not state.coordinated:
-            if idx not in state.reported:
-                state.reported.add(idx)
-                qualified.append(state.statements[idx])
+            state.reported.add(idx)
+            qualified.append(state.statements[idx])
         else:
             # Release grants to the caller strictly in program order.
             for position in range(len(state.statements)):
@@ -803,42 +712,52 @@ class ShardedScheduler:
                     qualified.append(state.statements[position])
                 else:
                     break
-        if state.coordinated:
-            if state.forwarded == len(state.statements) and len(
-                state.granted
-            ) == len(state.statements):
+            # A grant is progress: restart the stall timer, or stop it
+            # once every statement is reserved.
+            if len(state.granted) == len(state.statements):
                 state.reserve_since = None
             else:
-                # A grant is progress: restart the stall timer.
                 state.reserve_since = now
             self._pump(state, now)
         self._maybe_forward_termination(state, now)
 
     # -- cross-shard recovery ------------------------------------------------
 
-    def _stall_timeout(self, state: _TaState) -> float:
-        """Reserve-stall timeout for this transaction: optimistic for
-        parallel acquirers, patient for ordered ones (which cannot
-        deadlock among themselves — see ``ordered_patience``)."""
+    def _stall_deadline(self, state: _TaState) -> Optional[float]:
+        """When the reserve sweep takes this transaction, or ``None``
+        while it cannot stall: only a coordinated, unparked lock
+        *holder* can be part of a cross-shard deadlock cycle (one
+        holding no granted reserve blocks nobody, and aborting it would
+        be pure churn).  A retried transaction acquires in object order
+        and gets :data:`ORDERED_PATIENCE` times the timeout."""
+        if (
+            not state.coordinated
+            or not state.granted
+            or state.parked_until is not None
+            or state.reserve_since is None
+        ):
+            return None
         timeout = self.cross_shard.reserve_timeout
-        if self._ordered_now(state):
-            timeout *= self.cross_shard.ordered_patience
-        return timeout
+        if state.retries > 0:
+            timeout *= ORDERED_PATIENCE
+        return state.reserve_since + timeout
+
+    def _timer_due(self, state: _TaState) -> Optional[float]:
+        """This transaction's next facade timer: its park expiry, else
+        its stall deadline."""
+        if state.parked_until is not None:
+            return state.parked_until
+        return self._stall_deadline(state)
 
     def _reserve_sweep(self, now: float, recovery: RecoveryActions) -> None:
         for state in list(self._states.values()):
-            if (
-                not state.coordinated
-                # A transaction holding no granted reserve blocks nobody,
-                # so it cannot be part of a deadlock cycle — aborting it
-                # would be pure churn.  Only lock *holders* are swept.
-                or not state.granted
-                or state.parked_until is not None
-                or state.reserve_since is None
-                or now - state.reserve_since < self._stall_timeout(state)
-            ):
+            due = self._stall_deadline(state)
+            if due is None or now < due:
                 continue
-            if state.retries >= self.cross_shard.max_retries:
+            # A reported grant may already have been executed by the
+            # caller, so only a reservation with nothing reported can be
+            # retried invisibly.
+            if state.reported or state.retries >= MAX_RETRIES:
                 self._give_up(state, recovery, now, kind="timeouts")
             else:
                 self._park(state, now)
@@ -868,25 +787,22 @@ class ShardedScheduler:
     def _park(self, state: _TaState, now: float) -> None:
         self._abort_incarnation(state, now, reason="xshard-retry")
         state.retries += 1
-        state.parked_until = now + self.cross_shard.park_delay_for(state.retries)
+        exponent = min(state.retries - 1, MAX_BACKOFF_EXPONENT)
+        state.parked_until = now + self.cross_shard.retry_backoff * (
+            BACKOFF_FACTOR**exponent
+        )
         state.incarnation = next(self._incarnation_ids)
         self._by_incarnation[state.incarnation] = state
         if self.metrics is not None:
             self.metrics.incr("scheduler.xshard.retries")
 
     def _resubmit(self, state: _TaState, now: float) -> None:
+        """Re-route a parked (so coordinated, retried) transaction: its
+        reserves queue for acquisition in global object order."""
         state.parked_until = None
         state.routed = set(range(len(state.statements)))
-        if (
-            state.coordinated
-            and self.route == "two-phase"
-            and self._ordered_now(state)
-        ):
-            state.queued = list(range(len(state.statements)))
-            self._pump(state, now)
-        else:
-            for idx in range(len(state.statements)):
-                self._route_data(state, idx, now)
+        state.queued = list(range(len(state.statements)))
+        self._pump(state, now)
         self._maybe_forward_termination(state, now)
 
     def _give_up(
@@ -988,8 +904,7 @@ class ShardedScheduler:
 
     def _timers_armed(self) -> bool:
         return any(
-            state.parked_until is not None
-            or (state.coordinated and state.reserve_since is not None)
+            self._timer_due(state) is not None
             for state in self._states.values()
         )
 
@@ -1002,6 +917,6 @@ class ShardedScheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ShardedScheduler(shards={len(self.shards)}, route={self.route!r}, "
+            f"ShardedScheduler(shards={len(self.shards)}, "
             f"protocol={self.protocol.name})"
         )

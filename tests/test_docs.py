@@ -1,6 +1,6 @@
 """Docs stay true: relative links resolve, every ``python`` block in
 docs/api.md and docs/analysis.md executes, and nothing quotes the
-retired pre-ledger benchmark surface.
+retired pre-ledger benchmark surface or the removed sharding options.
 
 These snippets are what users paste first; executing them here (and in
 CI's docs job) keeps the documented surface from drifting away from
@@ -34,9 +34,21 @@ EXECUTABLE_DOCS = [
 #: this file does not mention them).  ``benchmarks/ledger/`` is the one
 #: measurement surface; the history files may still say what was retired.
 _RETIRED_BENCHES = ("scheduler_step", "serve", "shards")
-RETIRED_NAMES = [f"BENCH_{name}" for name in _RETIRED_BENCHES] + [
-    f"bench_{name}.py" for name in _RETIRED_BENCHES
+#: The removed sharding surface — the ``home`` route, the ``parallel``
+#: and ``ordered`` reserve modes and the patience knob of the latter —
+#: spelled in parts for the same reason.
+_RETIRED_SHARDING = [
+    "--shard" + "-route",
+    'shard_route="' + 'home"',
+    'reserve_mode="' + 'parallel"',
+    'reserve_mode="' + 'ordered"',
+    "ordered" + "_patience",
 ]
+RETIRED_NAMES = (
+    [f"BENCH_{name}" for name in _RETIRED_BENCHES]
+    + [f"bench_{name}.py" for name in _RETIRED_BENCHES]
+    + _RETIRED_SHARDING
+)
 MAY_NAME_RETIRED = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -103,7 +115,7 @@ class TestRetiredBenchSurface:
             mentions += [
                 f"{relative}: {name}" for name in RETIRED_NAMES if name in text
             ]
-        assert not mentions, f"retired benchmark surface quoted: {mentions}"
+        assert not mentions, f"retired surface quoted: {mentions}"
 
 
 class TestDocSnippets:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import repro.api as api
-from repro.core.scheduler import SchedulerConfig
+from repro.core.scheduler import SchedulerConfig, SchedulerStalledError
 from repro.faults.invariants import (
     InvariantMonitor,
     InvariantViolation,
@@ -19,8 +19,20 @@ from repro.model.request import (
     Request,
     RequestAttributes,
 )
+from repro.model.schedule import Schedule, is_conflict_serializable, is_strict
 from repro.shard.partition import HashPartitioner, shard_of_object
 from repro.shard.scheduler import CrossShardPolicy, ShardedScheduler
+
+
+def _emitted(result):
+    """What one step hands the caller, in order: its grants, then the
+    aborts it surfaced.  With no shard recovery policy every abort is
+    the facade's reserve sweep, which runs after all shards stepped."""
+    stream = list(result.qualified)
+    for entries in (result.recovery.timeouts, result.recovery.orphans,
+                    result.recovery.sheds):
+        stream += [abort for __, abort in entries]
+    return stream
 
 
 def _txn(ta, ops, start_id, client_id=0):
@@ -118,24 +130,27 @@ class TestConstruction:
             api.make_scheduler("ss2pl", "compiled", shards=2, trigger=trigger)
 
     def test_unknown_route_rejected(self):
-        with pytest.raises(ValueError, match="route"):
-            api.make_scheduler("ss2pl", "compiled", shards=2,
-                               shard_route="everywhere")
+        for route in ("home", "everywhere"):
+            with pytest.raises(ValueError, match="shard_route .* was removed"):
+                api.make_scheduler("ss2pl", "compiled", shards=2,
+                                   shard_route=route)
+        # The one route keeps its spelling, sharded or not.
+        for shards in (None, 2):
+            api.make_scheduler("ss2pl", "compiled", shards=shards,
+                               shard_route="two-phase")
 
     def test_cross_shard_policy_validation(self):
         with pytest.raises(ValueError):
             CrossShardPolicy(reserve_timeout=0.0)
         with pytest.raises(ValueError):
             CrossShardPolicy(retry_backoff=-1.0)
-        with pytest.raises(ValueError):
-            CrossShardPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            CrossShardPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="reserve_mode"):
-            CrossShardPolicy(reserve_mode="eager")
-        with pytest.raises(ValueError, match="ordered_patience"):
-            CrossShardPolicy(ordered_patience=0.5)
-        assert CrossShardPolicy(reserve_mode="ordered").reserve_mode == "ordered"
+        for mode in ("parallel", "ordered", "eager"):
+            with pytest.raises(ValueError, match="reserve_mode .* was removed"):
+                CrossShardPolicy(reserve_mode=mode)
+        policy = CrossShardPolicy(reserve_timeout=0.2, reserve_mode="escalate")
+        assert policy == CrossShardPolicy(reserve_timeout=0.2)
+        with pytest.raises(TypeError):
+            CrossShardPolicy(max_retries=3)
 
     def test_monitor_conflict_interval_validation(self):
         with pytest.raises(ValueError, match="conflict_interval"):
@@ -257,45 +272,90 @@ class TestTwoPhase:
         ]
         assert granted == [f"w1[{b}]", f"w1[{a}]", f"r1[{b}]", "c1"]
 
+    def _stall_behind_blocker(self, scheduler):
+        """ta 3 (single-shard) holds ``a``; ta 1 then submits
+        ``w1[a] w1[b] c1`` as one burst, so its reserve on ``b`` is
+        granted while ``w1[a]`` waits: a granted reserve nothing of
+        which was reported, stalled.  Returns (objects, ta 3's commit,
+        the emitted stream so far)."""
+        a, b = self._coordinated_pair(scheduler)
+        blocker = _txn(3, [("w", a), ("c", None)], start_id=30, client_id=3)
+        scheduler.submit(blocker[0], 0.0)
+        stream = _emitted(scheduler.step(0.0))
+        for request in _txn(1, [("w", a), ("w", b), ("c", None)],
+                            start_id=1, client_id=1):
+            scheduler.submit(request, 0.0)
+        return (a, b), blocker[1], stream
+
     def test_cross_shard_deadlock_aborts_and_retries(self):
         metrics = MetricsCollector()
         scheduler = api.make_scheduler(
             "ss2pl", "compiled", shards=2,
-            cross_shard=CrossShardPolicy(
-                reserve_timeout=0.05, retry_backoff=0.01,
-                reserve_mode="escalate",
-            ),
+            cross_shard=CrossShardPolicy(reserve_timeout=0.05,
+                                         retry_backoff=0.01),
             metrics=metrics,
         )
+        monitor = InvariantMonitor(lock_model_of(scheduler.protocol))
+        scheduler.monitor = monitor
+        (a, b), commit3, stream = self._stall_behind_blocker(scheduler)
+        now = 0.0
+        commit_sent = False
+        for __ in range(200):
+            now += 0.02
+            if not commit_sent and scheduler._states[1].parked_until is not None:
+                # ta 1 is parked: the blocker may now finish.
+                scheduler.submit(commit3, now)
+                commit_sent = True
+            stream += _emitted(scheduler.step(now))
+            if not scheduler._states:
+                break
+        schedule = Schedule(stream)
+        # The stall was taken for a cross-shard deadlock and broken by
+        # one invisible abort-and-retry: the caller saw ta 1 only once.
+        assert str(schedule) == f"w3[{a}] c3 w1[{a}] w1[{b}] c1"
+        assert metrics.counters["scheduler.xshard.retries"] == 1
+        assert "scheduler.xshard.giveups" not in metrics.counters
+        assert is_conflict_serializable(schedule) and is_strict(schedule)
+        monitor.final_check(set(), now)
+
+    @pytest.mark.parametrize("backend", ["compiled", "compiled-delta"])
+    def test_crossed_deadlock_with_reported_grants_aborts(self, backend):
+        metrics = MetricsCollector()
+        scheduler = api.make_scheduler(
+            "ss2pl", backend, shards=2,
+            cross_shard=CrossShardPolicy(reserve_timeout=0.05,
+                                         retry_backoff=0.01),
+            metrics=metrics,
+        )
+        monitor = InvariantMonitor(lock_model_of(scheduler.protocol))
+        scheduler.monitor = monitor
         a, b = self._coordinated_pair(scheduler)
         # Classic crossed order, interleaved over two steps so each
-        # transaction holds its first lock before requesting the other:
-        # ta 1 holds a wants b, ta 2 holds b wants a.
+        # transaction holds (and has reported) its first lock before
+        # requesting the other: ta 1 holds a wants b, ta 2 holds b
+        # wants a.  Retrying either would re-grant a write the caller
+        # already executed after its lock was dropped.
         t1 = _txn(1, [("w", a), ("w", b), ("c", None)], start_id=1,
                   client_id=1)
         t2 = _txn(2, [("w", b), ("w", a), ("c", None)], start_id=10,
                   client_id=2)
         scheduler.submit(t1[0], 0.0)
         scheduler.submit(t2[0], 0.0)
-        scheduler.step(0.0)
-        scheduler.submit(t1[1], 0.0)
-        scheduler.submit(t2[1], 0.0)
-        scheduler.submit(t1[2], 0.0)
-        scheduler.submit(t2[2], 0.0)
-        committed = set()
+        stream = _emitted(scheduler.step(0.0))
+        for request in t1[1:] + t2[1:]:
+            scheduler.submit(request, 0.0)
         now = 0.0
         for __ in range(200):
-            result = scheduler.step(now)
-            for request in result.qualified:
-                if request.operation.is_termination:
-                    committed.add(request.ta)
-            if committed == {1, 2}:
-                break
             now += 0.02
-        assert committed == {1, 2}
-        # The deadlock was broken by at least one abort-and-retry.
-        assert metrics.counters.get("scheduler.xshard.retries", 0) >= 1
-        assert not scheduler._states
+            stream += _emitted(scheduler.step(now))
+            if not scheduler._states:
+                break
+        schedule = Schedule(stream)
+        assert str(schedule) == f"w1[{a}] w2[{b}] a1 a2"
+        assert is_conflict_serializable(schedule) and is_strict(schedule)
+        assert metrics.counters["scheduler.xshard.giveups"] == 2
+        assert "scheduler.xshard.retries" not in metrics.counters
+        monitor.final_check(set(), now)
 
     def test_crash_while_parked_is_reaped_as_orphan(self):
         scheduler = api.make_scheduler(
@@ -304,42 +364,26 @@ class TestTwoPhase:
                 reserve_timeout=0.05, retry_backoff=5.0,
             ),
         )
-        a, b = self._coordinated_pair(scheduler)
-        t1 = _txn(1, [("w", a), ("w", b), ("c", None)], start_id=1,
-                  client_id=1)
-        t2 = _txn(2, [("w", b), ("w", a), ("c", None)], start_id=10,
-                  client_id=2)
-        scheduler.submit(t1[0], 0.0)
-        scheduler.submit(t2[0], 0.0)
-        scheduler.step(0.0)
-        scheduler.submit(t1[1], 0.0)
-        scheduler.submit(t2[1], 0.0)
-        scheduler.submit(t1[2], 0.0)
-        scheduler.submit(t2[2], 0.0)
-        # Step past the reserve timeout: one side is parked (long
-        # backoff keeps it parked), the other proceeds.
+        __, commit3, __ = self._stall_behind_blocker(scheduler)
+        # Step past the reserve timeout: ta 1 is parked (long backoff
+        # keeps it parked), the blocker proceeds.
         now = 0.0
         parked = None
         for __ in range(50):
-            scheduler.step(now)
-            parked = next(
-                (s for s in scheduler._states.values()
-                 if s.parked_until is not None),
-                None,
-            )
-            if parked is not None:
-                break
             now += 0.02
-        assert parked is not None
-        client = parked.statements[0].attrs.client_id
+            scheduler.step(now)
+            parked = scheduler._states[1]
+            if parked.parked_until is not None:
+                break
+        assert parked.parked_until is not None
         # The parked transaction's client dies: the facade must reap it
         # as an orphan (no shard knows about a parked transaction).
-        scheduler.note_client_crashed(client, now)
+        scheduler.note_client_crashed(1, now)
+        scheduler.submit(commit3, now)
         # Orphaned parked transactions are reaped when the park expires.
-        now = max(now, parked.parked_until)
         orphaned = []
         survivor_committed = False
-        for __ in range(100):
+        for __ in range(400):
             now += 0.02
             result = scheduler.step(now)
             orphaned.extend(ta for ta, __r in result.recovery.orphans)
@@ -348,9 +392,44 @@ class TestTwoPhase:
                     survivor_committed = True
             if orphaned and survivor_committed:
                 break
-        assert parked.ta in orphaned
+        assert orphaned == [1]
         assert survivor_committed
         assert not scheduler._states
+
+    def test_stall_raises_promptly_with_shard_denials(self):
+        # The imperative backend attributes lock denials, not only
+        # program-order ones.
+        scheduler = api.make_scheduler("ss2pl", "imperative", shards=2)
+        a, b = self._coordinated_pair(scheduler)
+        # Two single-shard blockers that never commit, and one
+        # coordinated transaction behind both: it holds no granted
+        # reserve, so no facade timer can ever free it.
+        for request in (
+            _txn(1, [("w", a)], start_id=1)
+            + _txn(2, [("w", b)], start_id=10)
+            + _txn(3, [("w", a), ("w", b), ("c", None)], start_id=20)
+        ):
+            scheduler.submit(request, 0.0)
+        with pytest.raises(SchedulerStalledError) as raised:
+            scheduler.run_until_drained()
+        stalled = raised.value
+        assert "stalled" in str(stalled)
+        assert stalled.steps_run <= 3
+        # The shards' denial reasons, keyed by the caller's own ids.
+        assert stalled.denials == {
+            20: "conflicting lock held", 21: "conflicting lock held",
+        }
+
+
+class _HomeRouted(ShardedScheduler):
+    """A knowingly unsound router, kept only to be caught: every
+    statement goes to the shard owning its transaction's *first*
+    object, so a transaction never spans shards and is never
+    coordinated, and two transactions with different home shards can
+    both be granted writes on one object."""
+
+    def _owner_of(self, state, request):
+        return self.partitioner.shard_of(state.statements[0].obj)
 
 
 class TestHomeRouteUnsoundness:
@@ -358,8 +437,9 @@ class TestHomeRouteUnsoundness:
         monitor = InvariantMonitor(
             lock_model_of(api.make_protocol("ss2pl", "compiled"))
         )
-        scheduler = api.make_scheduler("ss2pl", "compiled", shards=2,
-                                       shard_route="home")
+        scheduler = _HomeRouted(
+            api.make_scheduler("ss2pl", "compiled", shards=2).shards
+        )
         scheduler.monitor = monitor
         partitioner = scheduler.partitioner
         (a,) = _objects_for(partitioner, 0, 1)
@@ -390,6 +470,93 @@ class TestHomeRouteUnsoundness:
             scheduler.submit(request, 0.0)
         scheduler.run_until_drained()  # raises on any violation
         monitor.final_check(set(), 1_000.0)
+
+
+def _drive_random(seed, shards, backend, transactions=12, objects=8):
+    """Run a seeded random workload through a sharded SS2PL scheduler on
+    a virtual clock and return (emitted stream, xshard counters).
+
+    Every transaction touches objects on at least two shards and its
+    client pipelines: each step it submits its next one or two
+    statements with probability 1/2, without waiting for grants.  So
+    reserves are acquired over several steps and cross-shard cycles
+    form, some holding reported grants (given up) and some holding
+    only unreported ones (parked and retried).  No shard recovery
+    policy is set, so every abort is the facade's own."""
+    rng = random.Random(seed)
+    metrics = MetricsCollector()
+    scheduler = api.make_scheduler(
+        "ss2pl", backend, shards=shards,
+        cross_shard=CrossShardPolicy(reserve_timeout=0.05, retry_backoff=0.01),
+        metrics=metrics,
+    )
+    monitor = InvariantMonitor(lock_model_of(scheduler.protocol))
+    scheduler.monitor = monitor
+    owner = scheduler.partitioner.shard_of
+    programs = {}
+    next_id = 1
+    for ta in range(1, transactions + 1):
+        objs = []
+        while len({owner(obj) for obj in objs}) < 2:
+            objs = rng.sample(range(objects), rng.randint(2, 4))
+        ops = [(rng.choice("rww"), obj) for obj in objs] + [("c", None)]
+        programs[ta] = _txn(ta, ops, start_id=next_id, client_id=ta)
+        next_id += len(ops)
+    submitted = dict.fromkeys(programs, 0)
+    ended = set()
+    stream = []
+    now = 0.0
+    for __ in range(5_000):
+        for ta, program in programs.items():
+            if ta in ended or submitted[ta] == len(program) or rng.random() < 0.5:
+                continue
+            burst = program[submitted[ta]: submitted[ta] + rng.randint(1, 2)]
+            for request in burst:
+                scheduler.submit(request, now)
+            submitted[ta] += len(burst)
+        emitted = _emitted(scheduler.step(now))
+        stream += emitted
+        ended |= {r.ta for r in emitted if r.operation.is_termination}
+        if len(ended) == len(programs):
+            break
+        now += 0.02
+    assert len(ended) == len(programs), f"seed {seed} did not finish"
+    assert not scheduler._states
+    counts = monitor.final_check(set(), now)
+    submitted_n = sum(submitted.values())
+    assert sum(counts.values()) == submitted_n
+    return stream, {
+        key.rsplit(".", 1)[1]: value
+        for key, value in metrics.counters.items()
+        if key.startswith("scheduler.xshard.")
+    }
+
+
+class TestEmittedSchedules:
+    """ROADMAP item 4's sharded slice: check what the facade *emits*,
+    not only that nothing was lost."""
+
+    SEEDS = range(12)
+
+    @pytest.mark.parametrize("backend", ["compiled", "compiled-delta"])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_random_schedules_are_serializable_and_strict(self, shards, backend):
+        both_seen = False
+        for seed in self.SEEDS:
+            stream, counters = _drive_random(seed, shards, backend)
+            schedule = Schedule(stream)
+            assert is_conflict_serializable(schedule), (seed, str(schedule))
+            assert is_strict(schedule), (seed, str(schedule))
+            # Each transaction's grants arrive in program order, and its
+            # termination (commit or surfaced abort) comes last.
+            for ta in schedule.transactions:
+                own = schedule.of_transaction(ta)
+                data = [r.intrata for r in own[:-1]]
+                assert data == list(range(len(data))), (seed, ta)
+                assert own[-1].operation.is_termination, (seed, ta)
+            both_seen |= bool(counters.get("retries") and counters.get("giveups"))
+        # The sweep's two outcomes were both exercised by some seed.
+        assert both_seen
 
 
 class TestServiceIntegration:

@@ -7,7 +7,7 @@ paper's tables/figures as fixed-width text and ASCII plots
 (:mod:`repro.metrics.reporting`).
 """
 
-from repro.metrics.stats import Summary, summarize, percentile
+from repro.metrics.stats import LogHistogram, Summary, summarize, percentile
 from repro.metrics.collector import MetricsCollector, Timer
 from repro.metrics.reporting import (
     AsciiPlot,
@@ -17,6 +17,7 @@ from repro.metrics.reporting import (
 )
 
 __all__ = [
+    "LogHistogram",
     "Summary",
     "summarize",
     "percentile",

@@ -21,15 +21,16 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List
 
-from repro.metrics.stats import Summary, summarize
+from repro.metrics.stats import LogHistogram, Summary
 
 
 class Timer:
-    """Accumulates duration samples; usable as a context manager factory."""
+    """Accumulates durations in a fixed-memory :class:`LogHistogram`;
+    usable as a context manager factory."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.samples: List[float] = []
+        self.histogram = LogHistogram()
 
     @contextmanager
     def measure(self) -> Iterator[None]:
@@ -37,17 +38,17 @@ class Timer:
         try:
             yield
         finally:
-            self.samples.append(time.perf_counter() - start)
+            self.histogram.add(time.perf_counter() - start)
 
     def add(self, duration: float) -> None:
-        self.samples.append(duration)
+        self.histogram.add(duration)
 
     @property
     def total(self) -> float:
-        return sum(self.samples)
+        return self.histogram.total
 
     def summary(self) -> Summary:
-        return summarize(self.samples)
+        return self.histogram.summary()
 
 
 class MetricsCollector:
@@ -116,6 +117,6 @@ class MetricsCollector:
             lines.append(f"gauge   {name} = {self.gauges[name]:.6g}")
         for name in sorted(self._timers):
             timer = self._timers[name]
-            if timer.samples:
+            if timer.histogram.count:
                 lines.append(f"timer   {name}: {timer.summary()}")
         return "\n".join(lines)

@@ -25,7 +25,12 @@ Binary operators follow the sequential delta rule — for a join,
 ``Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR`` — applying the left delta
 against the *old* right state, folding it in, then applying the right
 delta against the *new* left state.  This is exact for self-joins
-(ΔL and ΔR may come from the same table in the same step).
+(ΔL and ΔR may come from the same table in the same step).  Operators
+that are linear in their left input and gate its rows by the right
+side (semi, anti and left joins) take the mirror order — right delta
+against the old left state, then left delta against the new right
+state — so a rebuild, whose left and right deltas are the whole
+tables, never emits a left row only to retract it in the same call.
 
 Lowering is total over the same plan shapes the physical compiler
 accepts, with two deliberate refusals (:class:`DeltaLoweringError`):
@@ -45,6 +50,7 @@ start.  Correctness never depends on the journal's retention policy.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from time import perf_counter
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -175,6 +181,47 @@ def _bucket_bump(
     return old, new
 
 
+def _compact_bump(index: dict, key: Any, row: tuple, count: int) -> None:
+    """:func:`_bucket_bump` for an index read only when its key's gate
+    flips: a key holding one distinct row maps to ``(row, count)``
+    rather than a one-entry dict, and a second distinct row turns the
+    entry into a dict bucket (which turns back at one row)."""
+    held = index.get(key)
+    if held is None:
+        if count < 0:
+            raise DeltaStateError(f"negative multiplicity for {row!r}")
+        index[key] = (row, count)
+        return
+    if held.__class__ is tuple:
+        if held[0] == row:
+            n = held[1] + count
+            if n > 0:
+                index[key] = (held[0], n)
+            elif n == 0:
+                del index[key]
+            else:
+                raise DeltaStateError(f"negative multiplicity for {row!r}")
+            return
+        if count < 0:
+            raise DeltaStateError(f"negative multiplicity for {row!r}")
+        index[key] = {held[0]: held[1], row: count}
+        return
+    n = held.get(row, 0) + count
+    if n < 0:
+        raise DeltaStateError(f"negative multiplicity for {row!r}")
+    if n:
+        held[row] = n
+    else:
+        del held[row]
+        if len(held) == 1:
+            index[key] = next(iter(held.items()))
+
+
+def _compact_items(held: Any) -> Any:
+    """The ``(row, count)`` pairs of a :func:`_compact_bump` entry."""
+    return (held,) if held.__class__ is tuple else held.items()
+
+
 def _key_of(positions: Sequence[int]) -> Callable[[tuple], Any]:
     """Join-key extractor (scalar for one column, () for cross joins)."""
     if not positions:
@@ -231,9 +278,7 @@ class DStatic(DeltaNode):
 
     def __init__(self, relation: Relation, schema: Schema) -> None:
         self.schema = schema
-        self._content: Delta = {}
-        for row in relation.rows:
-            _merge(self._content, row, 1)
+        self._content: Delta = Counter(relation.rows)
 
     def content_delta(self) -> Delta:
         return dict(self._content)
@@ -592,9 +637,32 @@ class DLeftJoin(DeltaNode):
         self.match = {}
 
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
+        # Right side first (see DSemiJoin.apply): a rebuild pads only
+        # the left rows that stay unmatched.
         dl, dr = slots
         test, pad = self.test, self.pad
+        match = self.match
         out: Delta = {}
+        if dr:
+            right_key = self.right_key
+            for rr, cr in dr.items():
+                key = right_key(rr)
+                bucket = self.left_index.get(key)
+                if bucket:
+                    for lr, cl in bucket.items():
+                        combined = lr + rr
+                        if test is None or test(combined):
+                            _merge(out, combined, cl * cr)
+                            m_old = match.get(lr, 0)
+                            m_new = m_old + cr
+                            if m_new < 0:
+                                raise DeltaStateError("match underflow")
+                            match[lr] = m_new
+                            if m_old == 0 and m_new > 0:
+                                _merge(out, lr + pad, -cl)
+                            elif m_old > 0 and m_new == 0:
+                                _merge(out, lr + pad, cl)
+                _bucket_bump(self.right_index, key, rr, cr)
         if dl:
             left_key = self.left_key
             for lr, cl in dl.items():
@@ -609,36 +677,19 @@ class DLeftJoin(DeltaNode):
                             matches += cr
                 __, new = _bucket_bump(self.left_index, key, lr, cl)
                 if new:
-                    self.match[lr] = matches
+                    match[lr] = matches
                 else:
-                    self.match.pop(lr, None)
+                    match.pop(lr, None)
                 if matches == 0:
                     _merge(out, lr + pad, cl)
-        if dr:
-            right_key = self.right_key
-            for rr, cr in dr.items():
-                key = right_key(rr)
-                bucket = self.left_index.get(key)
-                if bucket:
-                    for lr, cl in bucket.items():
-                        combined = lr + rr
-                        if test is None or test(combined):
-                            _merge(out, combined, cl * cr)
-                            m_old = self.match.get(lr, 0)
-                            m_new = m_old + cr
-                            if m_new < 0:
-                                raise DeltaStateError("match underflow")
-                            self.match[lr] = m_new
-                            if m_old == 0 and m_new > 0:
-                                _merge(out, lr + pad, -cl)
-                            elif m_old > 0 and m_new == 0:
-                                _merge(out, lr + pad, cl)
-                _bucket_bump(self.right_index, key, rr, cr)
         return out
 
 
 class DSemiJoin(DeltaNode):
-    """Key-membership semi join (EXISTS with pure equi-correlation)."""
+    """Key-membership semi join (EXISTS with pure equi-correlation).
+
+    ``left_index`` is read only when a key's right count crosses zero,
+    so it is a :func:`_compact_bump` index."""
 
     label = "semijoin"
     arity = 2
@@ -660,31 +711,37 @@ class DSemiJoin(DeltaNode):
         self.right_keys = {}
 
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
+        # Right side first: the output is linear in the left input, so
+        # (L+ΔL)⋉(R+ΔR) − L⋉R = (L⋉R′ − L⋉R) + ΔL⋉R′ — ΔR against the
+        # old left state, then ΔL against the new right state.  A
+        # rebuild then never emits a left row only to retract it.
         dl, dr = slots
+        right_keys, left_index = self.right_keys, self.left_index
         out: Delta = {}
-        if dl:
-            left_key = self.left_key
-            for lr, cl in dl.items():
-                key = left_key(lr)
-                if self.right_keys.get(key, 0) > 0:
-                    _merge(out, lr, cl)
-                _bucket_bump(self.left_index, key, lr, cl)
         if dr:
             right_key = self.right_key
             for rr, cr in dr.items():
                 key = right_key(rr)
-                old, new = _bump(self.right_keys, key, cr)
+                old, new = _bump(right_keys, key, cr)
                 if (old > 0) != (new > 0):
-                    bucket = self.left_index.get(key)
-                    if bucket:
+                    held = left_index.get(key)
+                    if held is not None:
                         sign = 1 if new > 0 else -1
-                        for lr, cl in bucket.items():
+                        for lr, cl in _compact_items(held):
                             _merge(out, lr, sign * cl)
+        if dl:
+            left_key = self.left_key
+            for lr, cl in dl.items():
+                key = left_key(lr)
+                if key in right_keys:
+                    _merge(out, lr, cl)
+                _compact_bump(left_index, key, lr, cl)
         return out
 
 
 class DAntiKeyJoin(DeltaNode):
-    """Key-based anti join (NOT EXISTS, no residual)."""
+    """Key-based anti join (NOT EXISTS, no residual); ``left_index`` is
+    a :func:`_compact_bump` index, like :class:`DSemiJoin`'s."""
 
     label = "antijoin"
     arity = 2
@@ -706,26 +763,28 @@ class DAntiKeyJoin(DeltaNode):
         self.right_keys = {}
 
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
+        # Right side first, as in DSemiJoin.apply.
         dl, dr = slots
+        right_keys, left_index = self.right_keys, self.left_index
         out: Delta = {}
-        if dl:
-            left_key = self.left_key
-            for lr, cl in dl.items():
-                key = left_key(lr)
-                if self.right_keys.get(key, 0) == 0:
-                    _merge(out, lr, cl)
-                _bucket_bump(self.left_index, key, lr, cl)
         if dr:
             right_key = self.right_key
             for rr, cr in dr.items():
                 key = right_key(rr)
-                old, new = _bump(self.right_keys, key, cr)
+                old, new = _bump(right_keys, key, cr)
                 if (old > 0) != (new > 0):
-                    bucket = self.left_index.get(key)
-                    if bucket:
+                    held = left_index.get(key)
+                    if held is not None:
                         sign = -1 if new > 0 else 1
-                        for lr, cl in bucket.items():
+                        for lr, cl in _compact_items(held):
                             _merge(out, lr, sign * cl)
+        if dl:
+            left_key = self.left_key
+            for lr, cl in dl.items():
+                key = left_key(lr)
+                if key not in right_keys:
+                    _merge(out, lr, cl)
+                _compact_bump(left_index, key, lr, cl)
         return out
 
 
@@ -758,9 +817,28 @@ class DAntiResidualJoin(DeltaNode):
         self.match = {}
 
     def apply(self, slots: list[Optional[Delta]]) -> Delta:
+        # Right side first, as in DSemiJoin.apply.
         dl, dr = slots
-        test = self.test
+        test, match = self.test, self.match
         out: Delta = {}
+        if dr:
+            right_key = self.right_key
+            for rr, cr in dr.items():
+                key = right_key(rr)
+                bucket = self.left_index.get(key)
+                if bucket:
+                    for lr, cl in bucket.items():
+                        if test(lr + rr):
+                            m_old = match.get(lr, 0)
+                            m_new = m_old + cr
+                            if m_new < 0:
+                                raise DeltaStateError("match underflow")
+                            match[lr] = m_new
+                            if m_old == 0 and m_new > 0:
+                                _merge(out, lr, -cl)
+                            elif m_old > 0 and m_new == 0:
+                                _merge(out, lr, cl)
+                _bucket_bump(self.right_index, key, rr, cr)
         if dl:
             left_key = self.left_key
             for lr, cl in dl.items():
@@ -773,29 +851,11 @@ class DAntiResidualJoin(DeltaNode):
                             matches += cr
                 __, new = _bucket_bump(self.left_index, key, lr, cl)
                 if new:
-                    self.match[lr] = matches
+                    match[lr] = matches
                 else:
-                    self.match.pop(lr, None)
+                    match.pop(lr, None)
                 if matches == 0:
                     _merge(out, lr, cl)
-        if dr:
-            right_key = self.right_key
-            for rr, cr in dr.items():
-                key = right_key(rr)
-                bucket = self.left_index.get(key)
-                if bucket:
-                    for lr, cl in bucket.items():
-                        if test(lr + rr):
-                            m_old = self.match.get(lr, 0)
-                            m_new = m_old + cr
-                            if m_new < 0:
-                                raise DeltaStateError("match underflow")
-                            self.match[lr] = m_new
-                            if m_old == 0 and m_new > 0:
-                                _merge(out, lr, -cl)
-                            elif m_old > 0 and m_new == 0:
-                                _merge(out, lr, cl)
-                _bucket_bump(self.right_index, key, rr, cr)
         return out
 
 
@@ -1145,7 +1205,8 @@ class DeltaPlan:
     refresh (and any refresh after a journal truncation or an
     impossible state transition) falls back to a full rebuild: every
     node's state is reset and the tables' current contents are replayed
-    as one big insert delta.
+    as one big insert delta — counted by ``Counter`` in C, then one
+    ordinary propagate, the same operator code a step runs.
     """
 
     def __init__(self, root: PlanNode, optimize: bool = True) -> None:
@@ -1240,11 +1301,8 @@ class DeltaPlan:
             node.reset()
         initial: dict[int, Delta] = {}
         for source in self.sources:
-            delta: Delta = {}
-            for row in source.table.rows:
-                _merge(delta, row, 1)
-            if delta:
-                initial[id(source)] = delta
+            if source.table.rows:
+                initial[id(source)] = Counter(source.table.rows)
         for static in self.statics:
             content = static.content_delta()
             if content:

@@ -274,11 +274,18 @@ class Table:
             self._log_base = low
 
     def _maybe_compact_log(self) -> None:
-        # Keep the journal bounded: once it dwarfs the live row count,
-        # someone is lagging and it is cheaper for *that* consumer to
-        # rebuild than to replay.  Truncate up to the freshest live
-        # cursor — up-to-date consumers stay valid; only laggards are
-        # forced to rebuild.
+        # Keep the journal bounded at max(256, 4·|rows|).  First truncate
+        # up to the freshest live cursor: consumers at that position stay
+        # valid, laggards behind it will rebuild.  If the entries since
+        # even the freshest cursor exceed the bound — one step's churn
+        # on a small table, such as a pending table that inserts and
+        # deletes more rows between two steps than four times what it
+        # holds — drop them all, which invalidates *every* cursor, the
+        # freshest included: each consumer's next take() returns None
+        # and its plan rebuilds from the table contents.  That branch is
+        # why a small pending table beside a large history (the
+        # ledger's deep-history) rebuilds its delta plan every other
+        # step.
         if len(self._log) <= max(256, 4 * len(self._rows)):
             return
         high = self._log_base

@@ -42,6 +42,7 @@ __all__ = ["SchedulerService"]
 
 from repro.core.scheduler import DeclarativeScheduler, SchedulerStepResult
 from repro.faults.invariants import InvariantMonitor, lock_model_of
+from repro.metrics.stats import LogHistogram
 from repro.model.request import Request
 from repro.serve.session import (
     ServiceClosed,
@@ -122,7 +123,8 @@ class SchedulerService:
         self.granted = 0
         self.released = 0
         self.rejected: dict[str, int] = {"timeout": 0, "orphan": 0, "shed": 0}
-        self.grant_latencies: list[float] = []
+        #: Submit-to-grant seconds, in fixed memory however long it runs.
+        self.grant_latency = LogHistogram()
         self.started_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
 
@@ -344,7 +346,7 @@ class SchedulerService:
             ticket.granted_at = result.now
             self.granted += 1
             latency = result.now - ticket.submitted_at
-            self.grant_latencies.append(latency)
+            self.grant_latency.add(latency)
             if metrics is not None:
                 metrics.incr("serve.granted")
                 metrics.timer("serve.grant_latency").add(latency)
@@ -419,14 +421,13 @@ class SchedulerService:
         return monitor.final_check(live, self.clock())
 
     def stats(self) -> dict:
-        """Service-level counters and latency percentiles (seconds)."""
-        from repro.metrics.stats import percentile
-
+        """Service-level counters and latency percentiles (seconds,
+        each within 1 % of the sample at its rank)."""
         duration = (
             (self.stopped_at if self.stopped_at is not None else self.clock())
             - (self.started_at or 0.0)
         )
-        latencies = self.grant_latencies
+        latencies = self.grant_latency
         return {
             "submitted": self.submitted,
             "granted": self.granted,
@@ -437,9 +438,9 @@ class SchedulerService:
             "duration_s": duration,
             "grants_per_s": (self.granted / duration) if duration > 0 else 0.0,
             "grant_latency_s": {
-                "p50": percentile(latencies, 50.0) if latencies else 0.0,
-                "p99": percentile(latencies, 99.0) if latencies else 0.0,
-                "p99.9": percentile(latencies, 99.9) if latencies else 0.0,
-                "max": max(latencies) if latencies else 0.0,
+                "p50": latencies.percentile(50.0) if latencies.count else 0.0,
+                "p99": latencies.percentile(99.0) if latencies.count else 0.0,
+                "p99.9": latencies.percentile(99.9) if latencies.count else 0.0,
+                "max": latencies.maximum if latencies.count else 0.0,
             },
         }

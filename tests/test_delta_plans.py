@@ -30,8 +30,10 @@ import pytest
 
 from repro.model.request import NO_OBJECT, Operation, Request
 from repro.relalg.delta import (
+    DAntiKeyJoin,
     DeltaLoweringError,
     DeltaPlan,
+    DSemiJoin,
     DSetOp,
     lower_delta_plan,
 )
@@ -72,8 +74,32 @@ def _mutate(rng: random.Random, tables: list[Table]) -> None:
         table.delete_where(lambda row: row[pos] == obj)
 
 
+def _mutate_every_table(objects: int):
+    """A mutation that changes *each* table before the refresh, over
+    ``objects`` join keys: a join gets a left and a right delta in one
+    ``apply``."""
+
+    def mutate(rng: random.Random, tables: list[Table]) -> None:
+        pos = tables[0].schema.resolve("object")
+        for table in tables:
+            action = rng.random()
+            if action < 0.55 or not table.rows:
+                table.insert_many(
+                    _random_row(rng)[:4] + (rng.randrange(objects),)
+                    for __ in range(rng.randrange(1, 4))
+                )
+            elif action < 0.9:
+                table.delete_rows([rng.choice(table.rows)])
+            else:
+                obj = rng.choice(table.rows)[pos]
+                table.delete_where(lambda row: row[pos] == obj)
+
+    return mutate
+
+
 def assert_incremental_matches(
-    make_query, tables: list[Table], seed: int = 0, steps: int = 40
+    make_query, tables: list[Table], seed: int = 0, steps: int = 40,
+    mutate=_mutate,
 ) -> DeltaPlan:
     """Drive *steps* random mutations; after each, the maintained plan
     must equal a fresh interpreted execution as a multiset."""
@@ -81,7 +107,7 @@ def assert_incremental_matches(
     plan = lower_delta_plan(make_query())
     plan.decode_with(_decode)
     for step in range(steps):
-        _mutate(rng, tables)
+        mutate(rng, tables)
         plan.refresh()
         got = Counter(plan.rows())
         want = Counter(make_query().execute().rows)
@@ -272,6 +298,144 @@ class TestJoins:
             [requests, history],
             seed=13,
         )
+
+
+#: Two-table shapes covering every join operator the lowering emits.
+TWO_SIDED = {
+    "semi": lambda r, h: Query.from_(r, "r")
+    .semi_join(Query.from_(h, "h"), on=col("r.object") == col("h.object"))
+    .select("r.id"),
+    "anti": lambda r, h: Query.from_(r, "r")
+    .anti_join(Query.from_(h, "h"), on=col("r.object") == col("h.object"))
+    .select("r.id"),
+    "anti-residual": lambda r, h: Query.from_(r, "r")
+    .anti_join(
+        Query.from_(h, "h"),
+        on=(col("r.object") == col("h.object")) & (col("r.ta") != col("h.ta")),
+    )
+    .select("r.id"),
+    "left": lambda r, h: Query.from_(r, "r")
+    .left_join(Query.from_(h, "h"), on=col("r.object") == col("h.object"))
+    .select("r.id", "h.id"),
+    "left-residual": lambda r, h: Query.from_(r, "r")
+    .left_join(
+        Query.from_(h, "h"),
+        on=(col("r.object") == col("h.object")) & (col("r.ta") != col("h.ta")),
+    )
+    .select("r.id", "h.id"),
+    "left-is-null": lambda r, h: Query.from_(r, "r")
+    .left_join(Query.from_(h, "h"), on=col("r.object") == col("h.object"))
+    .where(is_null(col("h.id")))
+    .select("r.id"),
+    # IS NULL on the right key under DISTINCT: reduced to an anti join.
+    "left-is-null-reduced": lambda r, h: Query.from_(r, "r")
+    .left_join(Query.from_(h, "h"), on=col("r.object") == col("h.object"))
+    .where(is_null(col("h.object")))
+    .select("r.id")
+    .distinct(),
+    "inner": lambda r, h: Query.from_(r, "r")
+    .join(Query.from_(h, "h"), on=col("r.object") == col("h.object"))
+    .select("r.id", "h.id"),
+    "inner-residual": lambda r, h: Query.from_(r, "r")
+    .join(
+        Query.from_(h, "h"),
+        on=(col("r.object") == col("h.object")) & (col("r.ta") != col("h.ta")),
+    )
+    .select("r.id", "h.id"),
+}
+
+
+class TestBothSidesInOneRefresh:
+    """Both inputs of a join change before one refresh: the case where
+    the order the two deltas are applied in decides the answer."""
+
+    @pytest.mark.parametrize(
+        "objects", [400, 3], ids=["one-row-keys", "colliding-keys"]
+    )
+    @pytest.mark.parametrize("shape", sorted(TWO_SIDED))
+    def test_random_two_sided_deltas(self, shape, objects, requests, history):
+        make = TWO_SIDED[shape]
+        assert_incremental_matches(
+            lambda: make(requests, history),
+            [requests, history],
+            seed=sorted(TWO_SIDED).index(shape) * 1_000 + objects,
+            steps=60,
+            mutate=_mutate_every_table(objects),
+        )
+
+    @staticmethod
+    def _refresh_and_check(plan, make) -> None:
+        plan.refresh()
+        assert Counter(plan.rows()) == Counter(make().execute().rows)
+
+    @pytest.mark.parametrize("shape", sorted(TWO_SIDED))
+    def test_row_arrives_and_leaves_with_its_gate(self, shape, requests, history):
+        make = lambda: TWO_SIDED[shape](requests, history)
+        plan = lower_delta_plan(make())
+        requests.insert_many([(1, 1, 0, "w", 5), (2, 2, 0, "w", 6)])
+        history.insert((8, 2, 0, "w", 6))
+        self._refresh_and_check(plan, make)
+        # A left row and the right row that gates it, in one refresh ...
+        requests.insert((3, 1, 0, "w", 7))
+        history.insert((9, 2, 0, "w", 7))
+        self._refresh_and_check(plan, make)
+        assert plan.rows()
+        # ... and both retracted in one refresh.
+        requests.delete_rows([(3, 1, 0, "w", 7)])
+        history.delete_rows([(9, 2, 0, "w", 7)])
+        self._refresh_and_check(plan, make)
+        # A left row leaving while its gate arrives, and the reverse.
+        requests.delete_rows([(1, 1, 0, "w", 5)])
+        history.insert((10, 2, 0, "w", 5))
+        self._refresh_and_check(plan, make)
+        requests.insert((1, 1, 0, "w", 5))
+        history.delete_rows([(10, 2, 0, "w", 5)])
+        self._refresh_and_check(plan, make)
+        assert plan.stats["rebuilds"] == 1
+
+    @pytest.mark.parametrize("shape", ["semi", "anti"])
+    def test_one_row_key_transitions(self, shape, requests, history):
+        """A key's left entry is ``(row, count)`` while it holds one
+        distinct row and a dict from two; the gate reads either form."""
+        make = lambda: TWO_SIDED[shape](requests, history)
+        plan = lower_delta_plan(make())
+        (node,) = [
+            node for node in plan.order
+            if isinstance(node, (DSemiJoin, DAntiKeyJoin))
+        ]
+        gate = (9, 3, 0, "w", 5)
+        a, b = (1, 1, 0, "w", 5), (2, 2, 0, "r", 5)
+
+        def held():
+            # Flip the gate both ways so the entry is read as it stands.
+            self._refresh_and_check(plan, make)
+            history.insert(gate)
+            self._refresh_and_check(plan, make)
+            history.delete_rows([gate])
+            self._refresh_and_check(plan, make)
+            return node.left_index.get(5)
+
+        def one_row(entry, count):
+            return type(entry) is tuple and entry[1] == count
+
+        requests.insert(a)
+        assert one_row(held(), 1)
+        requests.insert(b)
+        two = held()
+        assert type(two) is dict and sorted(two.values()) == [1, 1]
+        requests.delete_rows([a])
+        assert one_row(held(), 1)
+        requests.delete_rows([b])
+        assert held() is None
+        requests.insert_many([a, a])  # one distinct row, count 2
+        assert one_row(held(), 2)
+        requests.insert(b)
+        assert sorted(held().values()) == [1, 2]
+        requests.delete_rows([b])
+        assert one_row(held(), 2)
+        requests.delete_rows([a, a])
+        assert held() is None and node.left_index == {}
+        assert plan.stats["rebuilds"] == 1
 
 
 class TestSetOps:
@@ -471,6 +635,98 @@ class TestWorkFollowsDeltaNotDepth:
         shallow, deep = per_depth[1_000], per_depth[30_000]
         assert shallow[1:] == deep[1:]
         assert all(rows > 0 for rows in deep[1:])
+
+
+class TestRebuildBuildsNotChurns:
+    """A rebuild costs what it builds: seeding ``ss2pl`` over 3·10⁴
+    history rows, no gated join (semi, anti, left) emits a row it then
+    retracts, and no one-row key of a transition-only index is a dict."""
+
+    GATED = ("DSemiJoin", "DAntiKeyJoin", "DAntiResidualJoin", "DLeftJoin")
+    TRANSITION_ONLY = ("DSemiJoin", "DAntiKeyJoin")
+
+    def test_seeding_emits_only_what_it_keeps(self, monkeypatch):
+        from repro.backends import build_protocol
+        from repro.bench.scheduler_step import (
+            drive_step_costs,
+            large_history_snapshot,
+        )
+        from repro.relalg import delta
+
+        # Every row a gated join emits goes through ``_merge``; count
+        # them per node while its ``apply`` runs.
+        emitted: dict[int, list[int]] = {}
+        running: list = []
+        live_merge = delta._merge
+
+        def counting_merge(target, row, count):
+            if running:
+                emitted[id(running[-1])].append(count)
+            live_merge(target, row, count)
+
+        monkeypatch.setattr(delta, "_merge", counting_merge)
+        gated: list = []
+        outputs: dict[int, dict] = {}
+        live_rebuild = delta.DeltaPlan._rebuild
+
+        def watched_rebuild(plan, op_s=None):
+            if gated:  # only the seeding
+                return live_rebuild(plan, op_s)
+            for node in plan.order:
+                if type(node).__name__ not in self.GATED:
+                    continue
+                gated.append(node)
+                emitted[id(node)] = []
+
+                def apply(slots, node=node, live=node.apply):
+                    running.append(node)
+                    try:
+                        outputs[id(node)] = live(slots)
+                    finally:
+                        running.pop()
+                    return outputs[id(node)]
+
+                node.apply = apply
+            try:
+                return live_rebuild(plan, op_s)
+            finally:
+                for node in gated:
+                    del node.apply
+
+        monkeypatch.setattr(delta.DeltaPlan, "_rebuild", watched_rebuild)
+        incoming, history, table_rows = large_history_snapshot(
+            active_clients=20, history_rows=30_000, seed=7
+        )
+        protocol = build_protocol("ss2pl", "compiled-delta")
+        try:
+            drive_step_costs(
+                protocol, incoming, history, steps=1, seed=7,
+                table_rows=table_rows,
+            )
+            assert protocol.maintenance_stats()["rebuilds"] == 1
+        finally:
+            protocol.reset()
+        assert len(gated) >= 3
+        biggest = 0
+        for node in gated:
+            counts = emitted[id(node)]
+            label = f"{type(node).__name__} {node.schema.names}"
+            assert all(c > 0 for c in counts), f"{label} retracted"
+            kept = sum(outputs.get(id(node), {}).values())
+            # Emitted == kept also proves the count saw every emission.
+            assert sum(counts) == kept, f"{label} emitted more than it holds"
+            biggest = max(biggest, kept)
+            if type(node).__name__ in self.TRANSITION_ONLY:
+                entries = list(node.left_index.values())
+                held = sum(
+                    sum(e.values()) if isinstance(e, dict) else e[1]
+                    for e in entries
+                )
+                assert kept <= held
+                assert entries and not any(
+                    isinstance(e, dict) and len(e) < 2 for e in entries
+                ), f"{label} keeps a dict for a one-row key"
+        assert biggest >= 10_000  # the seeding really ran through them
 
 
 class TestStepCostsWhatChanged:

@@ -1,5 +1,9 @@
 """Metrics: statistics, collectors, rendering."""
 
+import math
+import random
+import sys
+
 import pytest
 
 from repro.metrics.collector import MetricsCollector, Timer
@@ -9,7 +13,7 @@ from repro.metrics.reporting import (
     render_comparison,
     render_table,
 )
-from repro.metrics.stats import percentile, summarize
+from repro.metrics.stats import LogHistogram, percentile, summarize
 
 
 class TestStats:
@@ -70,7 +74,7 @@ class TestCollector:
         collector = MetricsCollector()
         with collector.timer("t").measure():
             pass
-        assert len(collector.timer("t").samples) == 1
+        assert collector.timer("t").histogram.count == 1
         assert collector.timer("t").total >= 0
 
     def test_timer_add(self):
@@ -93,6 +97,71 @@ class TestCollector:
         collector.timer("query").add(0.01)
         report = collector.report()
         assert "requests" in report and "load" in report and "query" in report
+
+
+class TestLogHistogram:
+    """Fixed memory, exact moments, percentiles within a bucket."""
+
+    def test_retained_size_does_not_depend_on_the_count(self):
+        rng = random.Random(3)
+        values = [10 ** rng.uniform(-7, 3) for __ in range(2_000)]
+        values += [0.0, 1e-12, 1e12]  # the clamped ends
+        histogram = LogHistogram()
+        for value in values:
+            histogram.add(value)
+        buckets = len(histogram._buckets)
+        size = sys.getsizeof(histogram._buckets)
+        for i in range(1_000_000 - len(values)):
+            histogram.add(values[i % len(values)])
+        assert histogram.count == 1_000_000
+        assert len(histogram._buckets) == buckets
+        assert sys.getsizeof(histogram._buckets) == size
+        assert buckets <= LogHistogram.MAX_BUCKETS < 5_000
+        assert not hasattr(histogram, "__dict__")
+
+    def test_percentiles_land_within_a_bucket_of_the_exact_ones(self):
+        rng = random.Random(11)
+        for sigma in (0.3, 1.0, 3.0):
+            samples = [rng.lognormvariate(-6, sigma) for __ in range(20_000)]
+            histogram = LogHistogram()
+            for value in samples:
+                histogram.add(value)
+            ordered = sorted(samples)
+            for q in (0, 1, 50, 95, 99, 99.9, 100):
+                rank = q / 100 * (len(ordered) - 1)
+                low = ordered[math.floor(rank)]
+                high = ordered[math.ceil(rank)]
+                estimate = histogram.percentile(q)
+                assert low / LogHistogram.GROWTH <= estimate
+                assert estimate <= high * LogHistogram.GROWTH
+                exact = percentile(samples, q)
+                assert estimate == pytest.approx(exact, rel=0.0101)
+
+    def test_moments_are_exact(self):
+        rng = random.Random(5)
+        samples = [rng.expovariate(100.0) for __ in range(5_000)]
+        histogram = LogHistogram()
+        for value in samples:
+            histogram.add(value)
+        got, want = histogram.summary(), summarize(samples)
+        assert got.count == want.count
+        assert got.total == pytest.approx(want.total, rel=1e-12)
+        assert got.mean == pytest.approx(want.mean, rel=1e-12)
+        assert got.stdev == pytest.approx(want.stdev, rel=1e-9)
+        assert (got.minimum, got.maximum) == (want.minimum, want.maximum)
+        assert got.minimum <= got.p50 <= got.p95 <= got.p99 <= got.maximum
+
+    def test_empty_and_single(self):
+        histogram = LogHistogram()
+        with pytest.raises(ValueError):
+            histogram.percentile(50)
+        with pytest.raises(ValueError):
+            histogram.summary()
+        histogram.add(0.25)
+        assert histogram.percentile(0) == histogram.percentile(100) == 0.25
+        assert histogram.summary().stdev == 0.0
+        with pytest.raises(ValueError):
+            histogram.percentile(101)
 
 
 class TestRenderTable:

@@ -10,22 +10,23 @@ cost is charged via :class:`~repro.core.scheduler.SchedulerCostModel`.
 
 Because a blocked request just stays in the pending table, two
 transactions can block each other (the set-at-a-time analogue of a
-deadlock).  The paper's Listing 1 does not address this; the middleware
-resolves it with a timeout: a transaction whose request has been
-pending longer than ``deadlock_timeout`` is aborted (an ``a`` request
-is synthesized into history, releasing its locks) and its client starts
-a fresh transaction.
+deadlock).  The paper's Listing 1 does not address this; the scheduler
+resolves it under its ``recovery`` policy
+(:class:`~repro.faults.recovery.RecoveryPolicy`, by default
+:data:`~repro.faults.recovery.RESTART_ON_TIMEOUT`): a transaction whose
+request has been pending longer than the policy's ``request_timeout``
+is aborted by the scheduler (an ``a`` request is written into history,
+releasing its locks) and its client starts a fresh transaction.  Every
+abort of a run goes through the scheduler; the simulation only reacts
+to the aborts a step reports.  A policy with a retry budget retries
+the same profile under a fresh transaction number instead; every
+policy reaps the transactions of crashed clients.
 
-Robustness mode (all opt-in — a simulation built without these knobs
-runs the exact legacy event sequence):
+Robustness mode (all opt-in):
 
 * ``faults`` (:class:`~repro.faults.spec.FaultPlan`) injects client
   crashes/stalls, request drops, clock jumps, and forced scheduler-step
   exceptions, all sampled deterministically from the run seed.
-* ``recovery`` (:class:`~repro.faults.recovery.RecoveryPolicy`)
-  promotes the deadlock timeout into the scheduler itself and adds
-  exponential-backoff retries (same profile, fresh transaction number)
-  with a retry budget, plus orphan reaping for crashed clients.
 * ``admission`` (:class:`~repro.faults.admission.AdmissionPolicy`)
   bounds the pending table; shed transactions are retried like aborts.
 * ``check_invariants`` attaches an
@@ -50,7 +51,7 @@ from repro.core.triggers import TriggerPolicy
 from repro.faults.admission import AdmissionPolicy
 from repro.faults.injector import InjectedStepFault
 from repro.faults.invariants import InvariantMonitor, lock_model_of
-from repro.faults.recovery import RecoveryPolicy
+from repro.faults.recovery import RESTART_ON_TIMEOUT, RecoveryPolicy
 from repro.faults.spec import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.model.request import (
@@ -76,6 +77,7 @@ class MiddlewareResult:
     duration: float
     completed_statements: int = 0
     committed_transactions: int = 0
+    #: Aborts by the recovery policy's pending timeout.
     timeout_aborts: int = 0
     scheduler_runs: int = 0
     scheduler_cost: float = 0.0
@@ -85,13 +87,10 @@ class MiddlewareResult:
     response_times: dict[str, list[float]] = field(default_factory=dict)
     #: Dispatched-request log (dispatch order), when recording was on.
     trace: Optional["Trace"] = None
-    # -- robustness / recovery telemetry (all zero on fault-free runs) --
+    # -- robustness / recovery telemetry --
     #: Closed-loop no-progress re-arms (the scheduler ran but granted
     #: nothing and the blocked requests forced a timed re-check).
     stall_rearms: int = 0
-    #: Aborts caused by the deadlock/pending timeout (sim- or
-    #: scheduler-side, whichever owns timeouts for this run).
-    deadlock_timeout_aborts: int = 0
     #: Transaction retries (same profile resubmitted under a new ta).
     retries: int = 0
     #: Transactions abandoned after exhausting the retry budget.
@@ -128,7 +127,7 @@ class MiddlewareResult:
     @property
     def aborts(self) -> int:
         """All scheduler-synthesized aborts (timeouts + orphan reaps)."""
-        return self.deadlock_timeout_aborts + self.reaped_orphans
+        return self.timeout_aborts + self.reaped_orphans
 
     @property
     def mean_recovery_time(self) -> float:
@@ -164,6 +163,7 @@ class _SimClient:
         "attempt",
         "drops_in_row",
         "epoch",
+        "outstanding",
     )
 
     def __init__(self, index: int, factory: TransactionFactory, attrs) -> None:
@@ -184,6 +184,9 @@ class _SimClient:
         #: belong to a superseded chain and die instead of running a
         #: second concurrent chain over the shared ``position``.
         self.epoch = 0
+        #: Id of the last submitted request: the one a closed-loop
+        #: client waits on, which an abort of its transaction removes.
+        self.outstanding = -1
 
 
 class MiddlewareSimulation:
@@ -198,13 +201,12 @@ class MiddlewareSimulation:
         seed: int = 0,
         cost_model: CostModel = PAPER_CALIBRATION,
         scheduler_cost: SchedulerCostModel = SchedulerCostModel(),
-        deadlock_timeout: float = 0.5,
         attrs_for_client=None,
         scheduler_config: SchedulerConfig = SchedulerConfig(),
         record_trace: bool = False,
         start_delay_for_client=None,
         faults: Optional[FaultPlan] = None,
-        recovery: Optional[RecoveryPolicy] = None,
+        recovery: RecoveryPolicy = RESTART_ON_TIMEOUT,
         admission: Optional[AdmissionPolicy] = None,
         check_invariants: bool = False,
         metrics: Optional[MetricsCollector] = None,
@@ -218,7 +220,6 @@ class MiddlewareSimulation:
         self.seed = seed
         self.cost_model = cost_model
         self.scheduler_cost = scheduler_cost
-        self.deadlock_timeout = deadlock_timeout
         self.attrs_for_client = attrs_for_client
         self.scheduler_config = scheduler_config
         self.record_trace = record_trace
@@ -260,7 +261,6 @@ class MiddlewareSimulation:
         ta_counter = itertools.count(1)
         id_counter = itertools.count(1)
         submit_times: dict[int, float] = {}
-        first_pending_since: dict[int, float] = {}  # ta -> first submit time
         client_of_ta: dict[int, _SimClient] = {}
         #: Request ids lost in transit (accounted for in the final
         #: lifecycle-totality check: dropped, not lost by the scheduler).
@@ -299,8 +299,9 @@ class MiddlewareSimulation:
             client_of_ta[client.ta] = client
             submit_next(client)
 
-        def resume_chain(client: _SimClient):
-            """A continuation of the client's *current* submit chain.
+        def later(client: _SimClient, action, *args):
+            """``action(client, *args)`` as a continuation of the
+            client's *current* submit chain.
 
             Captures the chain epoch: if the transaction is aborted,
             retried, or the client restarts before the continuation
@@ -310,29 +311,9 @@ class MiddlewareSimulation:
             """
             epoch = client.epoch
 
-            def fire(c: _SimClient = client, e: int = epoch) -> None:
-                if c.epoch == e:
-                    submit_next(c, True)
-
-            return fire
-
-        def restart_chain(client: _SimClient):
-            """A deferred ``begin_transaction`` guarded the same way:
-            only the most recently scheduled restart may begin."""
-            epoch = client.epoch
-
-            def fire(c: _SimClient = client, e: int = epoch) -> None:
-                if c.epoch == e:
-                    begin_transaction(c)
-
-            return fire
-
-        def retry_chain(client: _SimClient):
-            epoch = client.epoch
-
-            def fire(c: _SimClient = client, e: int = epoch) -> None:
-                if c.epoch == e:
-                    begin_transaction(c, retry=True)
+            def fire() -> None:
+                if client.epoch == epoch:
+                    action(client, *args)
 
             return fire
 
@@ -343,34 +324,28 @@ class MiddlewareSimulation:
                 stall = injector.stall_before_submit(client.index)
                 if stall is not None:
                     result.stalls += 1
-                    sim.schedule(stall, resume_chain(client))
+                    sim.schedule(stall, later(client, submit_next, True))
                     return
             if client.position < len(client.statements):
                 stmt = client.statements[client.position]
-                request = Request(
-                    id=next(id_counter),
-                    ta=client.ta,
-                    intrata=client.position,
-                    operation=stmt.operation,
-                    obj=stmt.obj,
-                    attrs=client.attrs,
-                )
+                operation, obj = stmt.operation, stmt.obj
             else:
-                request = Request(
-                    id=next(id_counter),
-                    ta=client.ta,
-                    intrata=client.position,
-                    operation=Operation.COMMIT,
-                    obj=NO_OBJECT,
-                    attrs=client.attrs,
-                )
+                operation, obj = Operation.COMMIT, NO_OBJECT
+            request = Request(
+                id=next(id_counter),
+                ta=client.ta,
+                intrata=client.position,
+                operation=operation,
+                obj=obj,
+                attrs=client.attrs,
+            )
             if injector is not None and injector.drop_request(client.index):
                 drop_submission(client, request)
                 return
             client.drops_in_row = 0
             scheduler.submit(request, sim.now)
             submit_times[request.id] = sim.now
-            first_pending_since.setdefault(client.ta, sim.now)
+            client.outstanding = request.id
             arm_trigger()
 
         def drop_submission(client: _SimClient, request: Request) -> None:
@@ -383,37 +358,21 @@ class MiddlewareSimulation:
                 monitor.note_submitted(request, sim.now)
                 monitor.note_dropped(request.id, sim.now)
             client.drops_in_row += 1
-            budget = (
-                self.recovery.max_retries if self.recovery is not None else 3
-            )
-            base_delay = (
-                self.recovery.retry_delay if self.recovery is not None else 0.05
-            )
-            if client.drops_in_row > budget:
+            if client.drops_in_row > self.recovery.max_retries:
                 # Give up: abort the half-submitted transaction so any
                 # logical locks it already acquired are released.
-                note_disruption()
                 abort = scheduler.abort_transaction(
                     client.ta, sim.now, reason="drop-budget"
                 )
                 if result.trace is not None:
                     result.trace.record(sim.now, abort)
-                client_of_ta.pop(client.ta, None)
-                first_pending_since.pop(client.ta, None)
-                result.retry_budget_exhausted += 1
                 client.drops_in_row = 0
-                client.epoch += 1  # tear down: kill in-flight resumes
-                if sim.now < end:
-                    sim.schedule(
-                        self.cost_model.restart_delay, restart_chain(client)
-                    )
+                finish_aborted(client.ta, then=abandon)
                 return
-            delay = (
-                self.recovery.restart_delay_for(client.drops_in_row, base_delay)
-                if self.recovery is not None
-                else base_delay
+            delay = self.recovery.restart_delay_for(
+                client.drops_in_row, self.recovery.retry_delay
             )
-            sim.schedule(delay, resume_chain(client))
+            sim.schedule(delay, later(client, submit_next, True))
 
         step_event = None
         step_event_time = float("inf")
@@ -443,9 +402,9 @@ class MiddlewareSimulation:
             elif len(scheduler.incoming):
                 # Purely fill-driven triggers can starve when fewer than
                 # `threshold` clients remain unblocked; a watchdog step
-                # after the deadlock timeout bounds that starvation
+                # after the request timeout bounds that starvation
                 # (and lets timed-out transactions be aborted).
-                schedule_step_at(sim.now + self.deadlock_timeout)
+                schedule_step_at(sim.now + self.recovery.request_timeout)
 
         def run_step() -> None:
             nonlocal step_event, step_event_time
@@ -499,8 +458,6 @@ class MiddlewareSimulation:
                         )
             if step.recovery:
                 handle_recovery_actions(step.recovery)
-            if scheduler.recovery is None:
-                handle_timeouts()
             if len(scheduler.pending) or len(scheduler.incoming):
                 if batch:
                     # Progress was made: continue at the trigger's pace.
@@ -511,42 +468,36 @@ class MiddlewareSimulation:
                     # us).  Time-based triggers pace the re-check on their
                     # own ``next_check`` schedule — that is what makes the
                     # E7 trigger ablation differentiate policies — capped
-                    # at one deadlock timeout so deadlocked transactions
+                    # at one request timeout so deadlocked transactions
                     # still get aborted; enqueue-driven triggers fall back
                     # to the timeout slice.
                     result.stall_rearms += 1
                     if self.metrics is not None:
                         self.metrics.incr("sim.stall_rearms")
+                    timeout = self.recovery.request_timeout
                     next_check = self.trigger.next_check(sim.now)
                     if next_check is not None and next_check > sim.now:
-                        schedule_step_at(
-                            min(next_check, sim.now + self.deadlock_timeout)
-                        )
+                        schedule_step_at(min(next_check, sim.now + timeout))
                     else:
-                        delay = max(self.deadlock_timeout / 4, 1e-4)
-                        schedule_step_at(sim.now + delay)
+                        schedule_step_at(sim.now + max(timeout / 4, 1e-4))
 
         def handle_recovery_actions(actions) -> None:
             """React to scheduler-side aborts (timeouts, orphan reaps,
-            admission sheds): record them, then restart/retry clients."""
-            for ta, abort in actions.timeouts:
-                result.timeout_aborts += 1
-                result.deadlock_timeout_aborts += 1
-                if self.metrics is not None:
-                    self.metrics.incr("sim.deadlock_timeout_aborts")
-                finish_aborted(ta, abort, retry=True)
-            for ta, abort in actions.orphans:
-                result.reaped_orphans += 1
-                finish_aborted(ta, abort, retry=False)
-            for ta, abort in actions.sheds:
-                result.sheds += 1
-                finish_aborted(ta, abort, retry=True)
+            admission sheds): count them, then retry/restart clients.
+            An orphan's client crashed, so only its mapping goes."""
+            result.timeout_aborts += len(actions.timeouts)
+            result.reaped_orphans += len(actions.orphans)
+            result.sheds += len(actions.sheds)
+            for ta, __ in actions.orphans:
+                finish_aborted(ta)
+            for ta, __ in (*actions.timeouts, *actions.sheds):
+                finish_aborted(ta, then=retry)
 
-        def finish_aborted(ta: int, abort: Request, retry: bool) -> None:
-            # The abort itself was already written to the trace by
-            # run_step, in scheduler order.
+        def finish_aborted(ta: int, then=None) -> None:
+            """Tear down the submit chain of an aborted transaction and
+            hand its client to *then*.  The abort itself is the
+            scheduler's and is already in the trace, in scheduler order."""
             note_disruption()
-            first_pending_since.pop(ta, None)
             client = client_of_ta.pop(ta, None)
             if client is None or client.crashed or sim.now >= end:
                 return
@@ -554,31 +505,33 @@ class MiddlewareSimulation:
                 # A stale transaction from before a crash/restart: the
                 # client is already running a newer chain — reap only.
                 return
+            # The abort removed the client's one outstanding request.
+            submit_times.pop(client.outstanding, None)
             client.epoch += 1  # tear down: kill in-flight resumes
-            if not retry:
-                return
+            if then is not None:
+                then(client)
+
+        def retry(client: _SimClient) -> None:
+            """Resubmit the aborted profile with backoff, or abandon it
+            once the retry budget is spent."""
             client.attempt += 1
-            budget = (
-                self.recovery.max_retries if self.recovery is not None else 0
-            )
-            if client.attempt > budget:
-                # Budget exhausted: abandon this profile, move on.
-                result.retry_budget_exhausted += 1
-                sim.schedule(
-                    self.cost_model.restart_delay, restart_chain(client)
-                )
+            if client.attempt > self.recovery.max_retries:
+                abandon(client)
                 return
             result.retries += 1
             if self.metrics is not None:
                 self.metrics.incr("sim.retries")
-            delay = (
-                self.recovery.restart_delay_for(
-                    client.attempt, self.cost_model.restart_delay
-                )
-                if self.recovery is not None
-                else self.cost_model.restart_delay
+            delay = self.recovery.restart_delay_for(
+                client.attempt, self.cost_model.restart_delay
             )
-            sim.schedule(delay, retry_chain(client))
+            sim.schedule(delay, later(client, begin_transaction, True))
+
+        def abandon(client: _SimClient) -> None:
+            """Give up on the profile: the client starts a fresh one."""
+            result.retry_budget_exhausted += 1
+            sim.schedule(
+                self.cost_model.restart_delay, later(client, begin_transaction)
+            )
 
         def request_done(request: Request) -> None:
             nonlocal disruption_since
@@ -593,7 +546,6 @@ class MiddlewareSimulation:
             client = client_of_ta.get(request.ta)
             if client is None:
                 return
-            first_pending_since.pop(request.ta, None)
             if client.ta != request.ta:
                 # A completion from a superseded transaction (the client
                 # crashed and restarted while this result was in
@@ -617,61 +569,6 @@ class MiddlewareSimulation:
                     return
                 client.position += 1
                 submit_next(client)
-
-        def handle_timeouts() -> None:
-            doomed: list[int] = []
-            for ta, since in first_pending_since.items():
-                if sim.now - since > self.deadlock_timeout:
-                    doomed.append(ta)
-            for ta in doomed:
-                abort_transaction(ta)
-
-        def abort_transaction(ta: int) -> None:
-            client = client_of_ta.pop(ta, None)
-            first_pending_since.pop(ta, None)
-            # Remove the transaction's pending request(s) and record an
-            # abort so held (logical) locks are released.
-            ta_pos = scheduler.pending.table.schema.resolve("ta")
-            id_pos = scheduler.pending.table.schema.resolve("id")
-            doomed_ids = [
-                row[id_pos]
-                for row in scheduler.pending.table.rows
-                if row[ta_pos] == ta
-            ]
-            scheduler.pending.table.delete_where(lambda row: row[ta_pos] == ta)
-            for request_id in doomed_ids:
-                submit_times.pop(request_id, None)
-                scheduler.pending.table.attrs_by_id.pop(request_id, None)
-            abort = Request(
-                id=next(id_counter),
-                ta=ta,
-                intrata=0,
-                operation=Operation.ABORT,
-                obj=NO_OBJECT,
-            )
-            scheduler.history.record_batch([abort])
-            scheduler.protocol.observe_executed([abort])
-            scheduler.prune_history()
-            if monitor is not None:
-                monitor.note_terminal(doomed_ids, "aborted", sim.now)
-                monitor.note_dispatch(sim.now, abort)
-            if result.trace is not None:
-                result.trace.record(sim.now, abort)
-            result.timeout_aborts += 1
-            result.deadlock_timeout_aborts += 1
-            if self.metrics is not None:
-                self.metrics.incr("sim.deadlock_timeout_aborts")
-            note_disruption()
-            if (
-                client is not None
-                and not client.crashed
-                and client.ta == ta
-                and sim.now < end
-            ):
-                client.epoch += 1  # tear down: kill in-flight resumes
-                sim.schedule(
-                    self.cost_model.restart_delay, restart_chain(client)
-                )
 
         def crash_client(client: _SimClient) -> None:
             if sim.now >= end or client.crashed:

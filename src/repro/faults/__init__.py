@@ -21,7 +21,7 @@ from repro.faults.spec import (
     step_exception,
 )
 from repro.faults.injector import FaultInjector, InjectedStepFault
-from repro.faults.recovery import RecoveryPolicy
+from repro.faults.recovery import RESTART_ON_TIMEOUT, RecoveryPolicy
 from repro.faults.admission import AdmissionPolicy
 from repro.faults.invariants import (
     InvariantMonitor,
@@ -41,6 +41,7 @@ __all__ = [
     "FaultInjector",
     "InjectedStepFault",
     "RecoveryPolicy",
+    "RESTART_ON_TIMEOUT",
     "AdmissionPolicy",
     "InvariantMonitor",
     "InvariantViolation",

@@ -1,10 +1,8 @@
 """Recovery policy: abort-and-retry semantics for the scheduler.
 
-The closed-loop simulation historically resolved deadlocks with a
-timeout implemented *outside* the scheduler; :class:`RecoveryPolicy`
-promotes that into the :class:`~repro.core.scheduler.DeclarativeScheduler`
-itself, and extends it with exponential backoff, a retry budget, and
-orphan reaping for crashed clients:
+A :class:`RecoveryPolicy` tells the
+:class:`~repro.core.scheduler.DeclarativeScheduler` when to abort a
+transaction and its driver how to go on afterwards:
 
 * **Timeout aborts** — a transaction whose request has been pending
   longer than its current timeout is aborted (an ``a`` request is
@@ -32,7 +30,7 @@ class RecoveryPolicy:
     """Knobs of the scheduler's abort/retry recovery."""
 
     #: Base pending-age timeout (seconds) before a transaction is
-    #: aborted (the deadlock timeout, now scheduler-owned).
+    #: aborted (the deadlock timeout).
     request_timeout: float = 0.5
     #: Multiplier applied per prior retry of the same client, both to
     #: its timeout and to the driver's restart delay.
@@ -69,3 +67,10 @@ class RecoveryPolicy:
         """Driver-side backoff before retry *attempt* (1-based)."""
         exponent = min(max(attempt - 1, 0), self.max_backoff_exponent)
         return max(base_delay, self.retry_delay) * self.backoff_factor**exponent
+
+
+#: The closed-loop simulation's default: a fixed deadlock timeout.  A
+#: transaction pending longer than 0.5 s (or whose submission is
+#: dropped) is aborted, and its client starts a fresh profile after the
+#: cost model's ``restart_delay``.
+RESTART_ON_TIMEOUT = RecoveryPolicy(backoff_factor=1.0, max_retries=0)

@@ -34,7 +34,7 @@ def _recovery_row(entry: CellResult) -> list[object]:
     result = entry.result
     return [
         entry.cell.label,
-        result.deadlock_timeout_aborts,
+        result.timeout_aborts,
         result.reaped_orphans,
         result.retries,
         result.retry_budget_exhausted,

@@ -151,7 +151,6 @@ def run_scenario(
             seed=seed,
             cost_model=cost_model,
             scheduler_cost=scheduler_cost,
-            deadlock_timeout=spec.deadlock_timeout,
             attrs_for_client=attrs_for_client,
             scheduler_config=SchedulerConfig(max_batch=cell.max_batch),
             record_trace=record,

@@ -26,7 +26,7 @@ from repro.core.triggers import (
     TriggerPolicy,
 )
 from repro.faults.admission import AdmissionPolicy
-from repro.faults.recovery import RecoveryPolicy
+from repro.faults.recovery import RESTART_ON_TIMEOUT, RecoveryPolicy
 from repro.faults.spec import FaultPlan
 from repro.workload.spec import WorkloadSpec
 
@@ -93,7 +93,6 @@ class ScenarioSpec:
     duration: float = 5.0
     seed: int = 0
     population: str = "uniform"
-    deadlock_timeout: float = 0.5
     #: Bursty open arrivals: clients join in waves of ``burst_size``
     #: every ``burst_gap`` virtual seconds (``None`` = all at t=0).
     burst_size: Optional[int] = None
@@ -101,8 +100,10 @@ class ScenarioSpec:
     #: Chaos side of the scenario: deterministic fault injection plus
     #: the recovery/admission policies that are supposed to absorb it.
     #: All pure data (frozen), so faulted scenarios stay replayable.
+    #: Every scenario has a recovery policy: it owns the deadlock
+    #: timeout of fault-free runs too.
     faults: Optional[FaultPlan] = None
-    recovery: Optional[RecoveryPolicy] = None
+    recovery: RecoveryPolicy = RESTART_ON_TIMEOUT
     admission: Optional[AdmissionPolicy] = None
 
     @property

@@ -5,6 +5,7 @@ import pytest
 import repro.api as api
 from repro.core.simulation import MiddlewareSimulation
 from repro.core.triggers import FillLevelTrigger, HybridTrigger
+from repro.faults.recovery import RecoveryPolicy
 from repro.protocols.sla import SLAOrderingProtocol
 from repro.workload.clients import ClientPopulation, SLA_TIERS
 from repro.workload.spec import WorkloadSpec
@@ -81,7 +82,9 @@ class TestProtocolOrdering:
         hot = WorkloadSpec(reads_per_txn=2, writes_per_txn=6, table_rows=30)
         result = run(
             api.make_protocol("ss2pl"), clients=15, duration=3.0, spec=hot,
-            deadlock_timeout=0.2,
+            recovery=RecoveryPolicy(
+                request_timeout=0.2, backoff_factor=1.0, max_retries=0
+            ),
         )
         assert result.timeout_aborts > 0
 

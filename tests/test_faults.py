@@ -691,17 +691,18 @@ class TestFaultedSimulation:
             hot,
             clients=6,
             seed=2,
-            deadlock_timeout=0.2,
+            recovery=RecoveryPolicy(
+                request_timeout=0.2, backoff_factor=1.0, max_retries=0
+            ),
             metrics=metrics,
         )
         result = sim.run(3.0)
         assert result.stall_rearms > 0
-        assert result.deadlock_timeout_aborts > 0
-        assert result.deadlock_timeout_aborts == result.timeout_aborts
+        assert result.timeout_aborts > 0
         assert metrics.counters["sim.stall_rearms"] == result.stall_rearms
         assert (
-            metrics.counters["sim.deadlock_timeout_aborts"]
-            == result.deadlock_timeout_aborts
+            metrics.counters["scheduler.timeout_aborts"]
+            == result.timeout_aborts
         )
 
 

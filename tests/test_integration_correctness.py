@@ -13,6 +13,7 @@ import pytest
 import repro.api as api
 from repro.core.simulation import MiddlewareSimulation
 from repro.core.triggers import HybridTrigger
+from repro.faults.recovery import RecoveryPolicy
 from repro.model.schedule import (
     Schedule,
     is_conflict_serializable,
@@ -87,7 +88,9 @@ class TestMiddlewareCorrectness:
             spec=very_hot,
             clients=10,
             seed=3,
-            deadlock_timeout=0.15,
+            recovery=RecoveryPolicy(
+                request_timeout=0.15, backoff_factor=1.0, max_retries=0
+            ),
             record_trace=True,
         )
         result = simulation.run(3.0)

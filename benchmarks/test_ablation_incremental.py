@@ -18,7 +18,7 @@ def test_incremental_ablation_report(benchmark):
 
 
 def test_incremental_is_faster_and_equivalent():
-    # The interpreted pipeline is the recomputation arm of RQ 4; the
+    # The interpreted backend is the recomputation arm of RQ 4; the
     # compiled plan (delta-maintained builds) is measured separately in
     # run_incremental_ablation and `repro run E13`, and can legitimately
     # beat the hand-written incremental protocol.

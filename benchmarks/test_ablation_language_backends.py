@@ -18,12 +18,11 @@ def test_language_ablation_report(benchmark):
     )
     emit(report)
     for name in (
-        "relalg interpreted",
-        "relalg compiled plan",
+        "SQL interpreted (eager CTEs)",
+        "SQL compiled plan",
         "datalog",
         "sdl",
         "sqlite3",
-        "sqlfront compiled plan",
     ):
         assert name in report
 

@@ -5,8 +5,8 @@ qualification rule in several dialects; the equivalence sweep proves
 them equal on randomized workloads, but only at runtime.  This pass
 checks the statically checkable half of that contract per spec:
 
-* **S001** — every analyzable query dialect (relalg builder, SQL text)
-  must project exactly the Table 2 request columns
+* **S001** — the SQL dialect, the one relational statement of the
+  rule, must project exactly the Table 2 request columns
   (``id, ta, intrata, operation, object``), the shape
   ``Request.from_row`` and the scheduler dispatch path assume.
 * **S002** — the datalog dialect must derive ``qualified/5``.
@@ -19,7 +19,7 @@ checks the statically checkable half of that contract per spec:
   Listing 1 derives read locks implicitly (unfinished rows minus
   writes) without ever testing ``operation = 'r'``.
 * **S004/S005** — schema and type findings from
-  :mod:`repro.analysis.inference` over each dialect's plan.
+  :mod:`repro.analysis.inference` over the SQL plan.
 
 Plan-level lints ride the same walk: **P201** (a ``WITH`` CTE that no
 part of the statement references), **P202** (a filter whose predicate
@@ -170,26 +170,23 @@ def _required_codes(model: LockModel) -> frozenset[str]:
     return frozenset({"w", "a", "c"})
 
 
-def _build_dialect_plans(
+def _build_sql_plan(
     spec: ProtocolSpec,
-) -> tuple[dict[str, PlanNode], list[Diagnostic]]:
-    """Plan each analyzable query dialect against empty Table 2 stores."""
-    plans: dict[str, PlanNode] = {}
-    findings: list[Diagnostic] = []
-    requests, history = empty_table2_stores()
-    for dialect in sorted({"relalg", "sql"} & spec.dialects()):
-        try:
-            plans[dialect] = spec_plan(spec, requests, history, dialect)
-        except Exception as error:
-            findings.append(
-                Diagnostic(
-                    "S004",
-                    f"{spec.name}/{dialect}",
-                    f"building the {dialect} plan failed: "
-                    f"{type(error).__name__}: {error}",
-                )
+) -> tuple[Optional[PlanNode], list[Diagnostic]]:
+    """Plan the SQL dialect, when present, against empty Table 2 stores."""
+    if spec.sql is None:
+        return None, []
+    try:
+        return spec_plan(spec, *empty_table2_stores()), []
+    except Exception as error:
+        return None, [
+            Diagnostic(
+                "S004",
+                f"{spec.name}/sql",
+                f"building the sql plan failed: "
+                f"{type(error).__name__}: {error}",
             )
-    return plans, findings
+        ]
 
 
 def _check_datalog(spec: ProtocolSpec) -> list[Diagnostic]:
@@ -230,12 +227,12 @@ def _check_datalog(spec: ProtocolSpec) -> list[Diagnostic]:
 
 def _lint_unused_ctes(spec: ProtocolSpec, plan: PlanNode) -> list[Diagnostic]:
     # The parser's CTE list is the declaration site; CTENodes reachable
-    # from the deferred plan are the references.  (_Parser is the sql
+    # from the deferred plan are the references.  (_parse is the sql
     # module's own; the lint deliberately reuses it rather than
     # re-tokenizing.)
-    from repro.relalg.sql import _Parser
+    from repro.relalg.sql import _parse
 
-    declared = [name for name, __ in _Parser(spec.sql).statement().ctes]
+    declared = [name for name, __ in _parse(spec.sql).ctes]
     reachable = {
         node.name for node in _walk_plan(plan) if isinstance(node, CTENode)
     }
@@ -326,11 +323,11 @@ def _lint_nested_loop_joins(
 
 def check_spec(spec: ProtocolSpec) -> list[Diagnostic]:
     """All S0xx/P2xx findings for one spec."""
-    plans, findings = _build_dialect_plans(spec)
+    plan, findings = _build_sql_plan(spec)
 
     consulted: dict[str, frozenset[str]] = {}
-    for dialect, plan in sorted(plans.items()):
-        subject = f"{spec.name}/{dialect}"
+    if plan is not None:
+        subject = f"{spec.name}/sql"
         inference = infer_plan(plan, subject=subject)
         findings.extend(inference.diagnostics)
         if not table2_projection_ok(inference):
@@ -342,12 +339,10 @@ def check_spec(spec: ProtocolSpec) -> list[Diagnostic]:
                     f"the Table 2 columns {list(REQUEST_COLUMNS)}",
                 )
             )
-        consulted[dialect] = operation_literals(plan)
+        consulted["sql"] = operation_literals(plan)
         findings.extend(_lint_dead_filters(subject, plan))
         findings.extend(_lint_nested_loop_joins(subject, plan))
-
-    if spec.sql is not None and "sql" in plans:
-        findings.extend(_lint_unused_ctes(spec, plans["sql"]))
+        findings.extend(_lint_unused_ctes(spec, plan))
 
     if spec.datalog is not None:
         findings.extend(_check_datalog(spec))

@@ -5,11 +5,12 @@ registry mirrors the driver-adapter pattern of multi-database query
 mappers.  Importing this package registers the built-in backends:
 
 ============== ======================================================
-interpreted    relalg engine, re-evaluated from scratch each step
-compiled       relalg engine, compile-once cached physical plans
-compiled-delta relalg engine, incrementally maintained delta plans
-               (O(|delta|)/step)
-sqlfront       the spec's SQL text parsed/planned by our SQL frontend
+interpreted    the spec's SQL on our engine, CTEs materialized eagerly
+               and re-planned every step (the paper's naive evaluation)
+compiled       the spec's SQL on our engine, compile-once cached
+               physical plans
+compiled-delta the spec's SQL on our engine, incrementally maintained
+               delta plans (O(|delta|)/step)
 sqlite         the spec's SQL executed by in-memory sqlite3
 datalog        the spec's Datalog rules on the stratified engine
 imperative     reference lock-table walk (or the spec's own callable)
@@ -36,7 +37,6 @@ from repro.backends.base import (
 # Importing the implementations populates the registry.
 from repro.backends import relalg as _relalg  # noqa: F401
 from repro.backends import delta as _delta  # noqa: F401
-from repro.backends import sqlfront as _sqlfront  # noqa: F401
 from repro.backends import sqlitebridge as _sqlitebridge  # noqa: F401
 from repro.backends import datalog as _datalog  # noqa: F401
 from repro.backends import imperative as _imperative  # noqa: F401

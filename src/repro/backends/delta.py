@@ -35,7 +35,6 @@ from repro.backends.base import (
     BackendError,
     ExecutionBackend,
     SpecEvaluator,
-    plan_dialect,
     register_backend,
     spec_plan,
 )
@@ -119,8 +118,7 @@ def trial_lowering(spec: ProtocolSpec) -> Optional[LoweringRefusal]:
     try:
         lower_delta_plan(spec_plan(spec, *empty_table2_stores()))
     except Exception as error:
-        dialect = plan_dialect(spec)
-        subject = f"{spec.name}/{dialect}" if dialect else spec.name
+        subject = f"{spec.name}/sql" if spec.sql is not None else spec.name
         refusal = LoweringRefusal.of(error, subject)
     _TRIALS[id(spec)] = (spec, refusal)
     return refusal
@@ -131,8 +129,7 @@ class DeltaPlanEvaluator(SpecEvaluator):
 
     def __init__(self, spec: ProtocolSpec) -> None:
         self._spec = spec
-        if spec.relalg is None:
-            self.source = spec.sql
+        self.source = spec.sql
         self._stats: dict[str, Any] = {
             "steps": 0,
             "rebuilds": 0,
@@ -175,8 +172,8 @@ class DeltaPlanEvaluator(SpecEvaluator):
 
 class CompiledDeltaBackend(ExecutionBackend):
     name = "compiled-delta"
-    description = "relalg engine, incrementally maintained delta plans"
-    consumes = ("relalg", "sql")
+    description = "the spec's SQL, incrementally maintained delta plans"
+    consumes = ("sql",)
 
     def supports(self, spec: ProtocolSpec) -> bool:
         # Dialect intersection is necessary but not sufficient: the
@@ -189,8 +186,8 @@ class CompiledDeltaBackend(ExecutionBackend):
             # Plain dialect mismatch; the base message says what's
             # missing.
             return super()._reject(spec)
-        # The dialects intersect but the plan refused to lower: cite
-        # what the lowering raised — which operator, in which dialect.
+        # The spec has SQL but its plan refused to lower: cite what the
+        # lowering raised — which operator, on which path.
         return BackendError(
             f"backend {self.name!r} cannot run spec {spec.name!r}: "
             f"{trial_lowering(spec)}"

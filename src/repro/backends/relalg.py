@@ -1,18 +1,17 @@
 """Relational-algebra backends: interpreted and compile-once.
 
-Both lower the spec's ``relalg`` logical-plan builder when present and
-fall back to planning the spec's SQL text through
-:class:`repro.relalg.sql.SqlPlanner` — a spec written only as SQL still
-runs on this engine.  The difference is purely the evaluation strategy
-(the paper's research question 4):
+Both plan the spec's SQL text through
+:class:`repro.relalg.sql.SqlPlanner` — the one relational statement of
+the rule.  The difference is purely the evaluation strategy (the
+paper's research question 4):
 
-* ``interpreted`` re-derives everything per step — the eager pipeline
-  dialect when the spec ships one (the paper's "naive" CTE-at-a-time
-  evaluation), otherwise a fresh optimize+bind+execute of the logical
-  plan;
-* ``compiled`` analyzes once per (requests, history) table pair via
-  :class:`repro.relalg.plan.PlanCache` and only executes physical
-  operators per step.
+* ``interpreted`` re-derives everything per step: it plans the text
+  (parsed once per process), materializes each ``WITH`` CTE eagerly
+  before the next starts (the paper's "naive" CTE-at-a-time
+  evaluation), then optimizes and runs the final query;
+* ``compiled`` plans the text once per (requests, history) table pair,
+  CTEs deferred, via :class:`repro.relalg.plan.PlanCache`, and only
+  executes physical operators per step.
 """
 
 from __future__ import annotations
@@ -40,31 +39,21 @@ def _rows_to_decision(rows) -> ProtocolDecision:
 
 
 class InterpretedRelalgEvaluator(SpecEvaluator):
-    """Per-step rebuild-and-execute on the relalg engine."""
+    """Per-step eager-CTE plan and execute on the relalg engine."""
 
     def __init__(self, spec: ProtocolSpec) -> None:
-        self._spec = spec
-        if spec.relalg_pipeline is None and spec.relalg is None:
-            self.source = spec.sql
+        self.source = spec.sql
 
     def evaluate(self, requests: Table, history: Table) -> ProtocolDecision:
-        spec = self._spec
-        if spec.relalg_pipeline is not None:
-            return _rows_to_decision(spec.relalg_pipeline(requests, history))
-        if spec.relalg is not None:
-            return _rows_to_decision(
-                spec.relalg(requests, history).execute().rows
-            )
         planner = SqlPlanner({"requests": requests, "history": history})
-        return _rows_to_decision(planner.execute(spec.sql).rows)
+        return _rows_to_decision(planner.execute(self.source).rows)
 
 
 class CompiledRelalgEvaluator(SpecEvaluator):
     """Compile-once physical plans, cached per table pair."""
 
     def __init__(self, spec: ProtocolSpec) -> None:
-        if spec.relalg is None:
-            self.source = spec.sql
+        self.source = spec.sql
         self.plans = PlanCache(partial(spec_plan, spec))
 
     def evaluate(self, requests: Table, history: Table) -> ProtocolDecision:
@@ -82,8 +71,8 @@ class CompiledRelalgEvaluator(SpecEvaluator):
 
 class InterpretedRelalgBackend(ExecutionBackend):
     name = "interpreted"
-    description = "relalg engine, re-evaluated from scratch each step"
-    consumes = ("relalg-pipeline", "relalg", "sql")
+    description = "the spec's SQL, CTEs materialized eagerly every step"
+    consumes = ("sql",)
 
     def evaluator(self, spec: ProtocolSpec, **options) -> SpecEvaluator:
         if not self.supports(spec):
@@ -93,8 +82,8 @@ class InterpretedRelalgBackend(ExecutionBackend):
 
 class CompiledRelalgBackend(ExecutionBackend):
     name = "compiled"
-    description = "relalg engine, compile-once cached physical plans"
-    consumes = ("relalg", "sql")
+    description = "the spec's SQL, compile-once cached physical plans"
+    consumes = ("sql",)
 
     def evaluator(self, spec: ProtocolSpec, **options) -> SpecEvaluator:
         if not self.supports(spec):

@@ -110,9 +110,10 @@ def measure_scheduler_run(
     """Time full scheduler runs (queue drain + insert + query + move) at
     the paper's measurement point; returns the averages.
 
-    The default protocol is the *interpreted* Listing 1 pipeline — the
-    naive evaluation the paper measured; the compiled-plan improvement
-    is reported separately (:mod:`repro.bench.scheduler_step`)."""
+    The default protocol is Listing 1 on the *interpreted* backend, its
+    CTEs materialized eagerly — the naive evaluation the paper
+    measured; the compiled-plan improvement is reported separately
+    (:mod:`repro.bench.scheduler_step`)."""
     protocol = (
         protocol
         if protocol is not None

@@ -1,4 +1,4 @@
-"""Per-step scheduler query cost: interpreted pipeline vs compiled plan.
+"""Per-step scheduler query cost: interpreted vs compiled plan.
 
 The plan-compilation layer (:mod:`repro.relalg.plan`) claims that a
 protocol's declarative query needs *analyzing* once and only
@@ -6,8 +6,9 @@ protocol's declarative query needs *analyzing* once and only
 number: it drives the live scheduler over the E5 operating point
 (Section 4.3.1's snapshot — one open request per client, twenty
 executed statements per transaction in history, no committed
-transactions) for a fixed number of steps, once with the eager
-interpreted Listing 1 pipeline and once with the cached compiled plan,
+transactions) for a fixed number of steps, once with the
+``interpreted`` backend (Listing 1's SQL planned afresh every step, its
+CTEs materialized eagerly) and once with the cached compiled plan,
 and reports the median per-step ``query_seconds`` of each at several
 history sizes.
 
@@ -253,7 +254,7 @@ def render_scheduler_step_report(report: dict) -> str:
          "speedup"],
         rows,
         title=(
-            f"Per-step protocol query cost: interpreted pipeline vs the "
+            f"Per-step protocol query cost: interpreted (eager CTEs) vs the "
             f"{backend!r} backend (identical batches verified)"
         ),
     )

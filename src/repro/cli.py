@@ -7,7 +7,7 @@ Usage::
     python -m repro backends             # registered execution backends
     python -m repro run E1 [E2 ...]      # regenerate paper artefacts
     python -m repro run all --quick      # everything, scaled down
-    python -m repro run E13 --backend sqlfront
+    python -m repro run E13 --backend compiled-delta
     python -m repro bench --protocol ss2pl --backend datalog
     python -m repro scenario list        # registered deterministic scenarios
     python -m repro scenario run zipf-hotspot --seed 7
@@ -146,7 +146,7 @@ EXPERIMENTS: Dict[
         lambda opts: run_mpl_ablation(duration=60.0, caps=(None, 300)),
     ),
     "E13": (
-        "Ablation: interpreted pipeline vs compiled query plan",
+        "Ablation: interpreted (eager CTEs) vs compiled query plan",
         lambda opts: render_scheduler_step_report(
             run_scheduler_step_bench(
                 protocol=opts.protocol or "ss2pl",

@@ -2,12 +2,15 @@
 
 This module is the single home of protocol *query logic*.  Each
 protocol is one :class:`~repro.protocols.spec.ProtocolSpec` carrying
-every dialect we can state it in — a relalg logical-plan builder, SQL
-text, Datalog rules, a lock model, and (where the rule needs counting
-or admission) a hand-written set-at-a-time callable.  Execution lives
-entirely in :mod:`repro.backends`: SS2PL on sqlite, on the SQL
-frontend, as Datalog or on maintained lock views is the single
-``ss2pl-listing1`` spec plus backend selection.
+every dialect we can state it in — SQL text, Datalog rules, a lock
+model, and (where the rule needs counting or admission) a hand-written
+set-at-a-time callable.  A rule has one SQL text: the relational
+engines (``interpreted``, ``compiled``, ``compiled-delta``) all plan
+it, and sqlite runs it (Listing 1 through its sqlite rendition, which
+sqlite can parse).  Execution lives entirely in
+:mod:`repro.backends`: SS2PL on our engine, on sqlite, as Datalog or on
+maintained lock views is the single ``ss2pl-listing1`` spec plus
+backend selection.
 
 Shipped specs (8, the protocol side of the protocol × backend matrix):
 
@@ -35,8 +38,6 @@ from repro.protocols.spec import (
     ProtocolSpec,
     register_spec,
 )
-from repro.relalg.expressions import col, is_null, lit, or_
-from repro.relalg.query import Pipeline, Query, cte
 from repro.relalg.table import Table
 from repro.sqlbridge.bridge import LISTING1_SQLITE
 
@@ -51,12 +52,12 @@ _NO_QOS_CAPS = Capabilities(
 
 
 # ---------------------------------------------------------------------------
-# SS2PL — the paper's Listing 1, in four dialects.
+# SS2PL — the paper's Listing 1, in three dialects and a lock model.
 # ---------------------------------------------------------------------------
 
 #: The literal SQL of the paper's Listing 1 (the protocol's declarative
-#: source of record; executed verbatim by the sqlite backend through its
-#: sqlite-compatible rendition).
+#: source of record): the relational engines plan this text; sqlite
+#: cannot parse it and runs :data:`~repro.sqlbridge.bridge.LISTING1_SQLITE`.
 LISTING1_SQL = """\
 WITH RLockedObjects AS
  (SELECT a.object, a.ta, a.operation
@@ -120,246 +121,11 @@ qualified(Id, Ta, I, Op, Obj) :- requests(Id, Ta, I, Op, Obj),
 """
 
 
-def listing1_pipeline(requests: Table, history: Table) -> Pipeline:
-    """Evaluate Listing 1 on the relalg engine, one CTE per step.
-
-    Returns the finished :class:`Pipeline`; the final step is named
-    ``qualified_requests`` and has the full Table 2 schema.  This is
-    the paper's "naive" eager evaluation — each CTE materializes before
-    the next starts, and nothing survives to the next scheduler step.
-    """
-    p = Pipeline()
-    p.add_table("requests", requests, alias="r")
-    p.add_table("history", history, alias="h")
-
-    # RLockedObjects: history rows `a` such that no row `b` of the same
-    # transaction writes the same object or terminates the transaction —
-    # i.e. read locks held by still-active transactions.
-    history_a = Query.from_(history, alias="a")
-    history_b = Query.from_(history, alias="b")
-    writes_same_obj = history_b.where(col("b.operation") == lit("w")).select(
-        "b.ta", "b.object"
-    )
-    finished = (
-        Query.from_(history, alias="b")
-        .where(or_(col("b.operation") == lit("a"), col("b.operation") == lit("c")))
-        .select("b.ta")
-        .distinct()
-    )
-    r_locked = (
-        history_a.anti_join(
-            Query.from_(writes_same_obj.execute(), alias="wso"),
-            on=(col("a.ta") == col("wso.ta")) & (col("a.object") == col("wso.object")),
-        )
-        .anti_join(
-            Query.from_(finished.execute(), alias="fin"),
-            on=col("a.ta") == col("fin.ta"),
-        )
-        .select("a.object", "a.ta", "a.operation")
-    )
-    p.add("RLockedObjects", r_locked)
-
-    # WLockedObjects: DISTINCT writes of transactions with no commit/abort
-    # (the paper uses LEFT JOIN ... IS NULL; we keep that shape).
-    finished_tas = (
-        Query.from_(history, alias="f")
-        .where(or_(col("f.operation") == lit("a"), col("f.operation") == lit("c")))
-        .select("f.ta")
-        .distinct()
-    )
-    w_locked = (
-        Query.from_(history, alias="a")
-        .left_join(
-            Query.from_(finished_tas.execute(), alias="finishedTAs"),
-            on=col("a.ta") == col("finishedTAs.ta"),
-        )
-        .where(
-            (col("a.operation") == lit("w")) & is_null(col("finishedTAs.ta"))
-        )
-        .select("a.object", "a.ta", "a.operation")
-        .distinct()
-    )
-    p.add("WLockedObjects", w_locked)
-
-    # OperationsOnWLockedObjects: pending ops touching a write-locked
-    # object of another transaction.
-    ops_on_w = (
-        p.ref("requests")
-        .join(
-            Query.from_(p["WLockedObjects"], alias="wlo"),
-            on=(col("r.object") == col("wlo.object"))
-            & (col("r.ta") != col("wlo.ta")),
-        )
-        .select("r.ta", "r.intrata")
-    )
-    p.add("OperationsOnWLockedObjects", ops_on_w)
-
-    # OperationsOnRLockedObjects: pending WRITES touching a read-locked
-    # object of another transaction.
-    ops_on_r = (
-        p.ref("requests")
-        .where(col("r.operation") == lit("w"))
-        .join(
-            Query.from_(p["RLockedObjects"], alias="rl"),
-            on=(col("r.object") == col("rl.object")) & (col("r.ta") != col("rl.ta")),
-        )
-        .select("r.ta", "r.intrata")
-    )
-    p.add("OperationsOnRLockedObjects", ops_on_r)
-
-    # OpsOnSameObjAsPriorSelectOps: intra-batch conflicts — a pending op
-    # of a *later* transaction conflicting with a pending op of an
-    # earlier one (at least one of the two writes).
-    intra_batch = (
-        Query.from_(requests, alias="r2")
-        .join(
-            Query.from_(requests, alias="r1"),
-            on=(col("r2.object") == col("r1.object")) & (col("r2.ta") > col("r1.ta")),
-        )
-        .where(
-            or_(
-                col("r1.operation") == lit("w"),
-                col("r2.operation") == lit("w"),
-            )
-        )
-        .select("r2.ta", "r2.intrata")
-    )
-    p.add("OpsOnSameObjAsPriorSelectOps", intra_batch)
-
-    # QualifiedSS2PLOps: all pending (ta, intrata) EXCEPT the union of
-    # the three denial sets (set semantics, as SQL EXCEPT).
-    all_ops = p.ref("requests").select("r.ta", "r.intrata")
-    denials = (
-        p.ref("OperationsOnWLockedObjects")
-        .union_all(p.ref("OpsOnSameObjAsPriorSelectOps"))
-        .union_all(p.ref("OperationsOnRLockedObjects"))
-    )
-    qualified_keys = all_ops.except_(denials)
-    p.add("QualifiedSS2PLOps", qualified_keys)
-
-    # Final join back to the full request rows.
-    qualified = (
-        Query.from_(requests, alias="r2")
-        .join(
-            Query.from_(p["QualifiedSS2PLOps"], alias="q"),
-            on=(col("r2.ta") == col("q.ta")) & (col("r2.intrata") == col("q.intrata")),
-        )
-        .select("r2.id", "r2.ta", "r2.intrata", "r2.operation", "r2.object")
-        .order_by("id")
-    )
-    p.add("qualified_requests", qualified)
-    return p
-
-
-def listing1_query(requests: Table, history: Table) -> Query:
-    """Listing 1 as one *deferred* plan DAG over live tables.
-
-    Where :func:`listing1_pipeline` materializes each CTE eagerly (and
-    therefore must be rebuilt per scheduler step), this form contains no
-    snapshots: compiled once via :meth:`Query.compile`, the resulting
-    plan is re-executable against the tables' current contents every
-    step.  Shared CTEs (``FinishedTAs`` feeds both lock views) are
-    single nodes, computed at most once per execution.
-    """
-    # Read locks: history rows `a` whose transaction neither wrote the
-    # same object nor terminated.
-    writes_same_obj = cte(
-        Query.from_(history, alias="b")
-        .where(col("b.operation") == lit("w"))
-        .select("b.ta", "b.object"),
-        "WritesSameObject",
-    )
-    finished = cte(
-        Query.from_(history, alias="f")
-        .where(or_(col("f.operation") == lit("a"), col("f.operation") == lit("c")))
-        .select("f.ta")
-        .distinct(),
-        "FinishedTAs",
-    )
-    r_locked = cte(
-        Query.from_(history, alias="a")
-        .anti_join(
-            Query.from_(writes_same_obj, alias="wso"),
-            on=(col("a.ta") == col("wso.ta")) & (col("a.object") == col("wso.object")),
-        )
-        .anti_join(
-            Query.from_(finished, alias="fin"),
-            on=col("a.ta") == col("fin.ta"),
-        )
-        .select("a.object", "a.ta", "a.operation"),
-        "RLockedObjects",
-    )
-    # Write locks: DISTINCT writes of unfinished transactions (the
-    # paper's LEFT JOIN ... IS NULL shape).
-    w_locked = cte(
-        Query.from_(history, alias="a")
-        .left_join(
-            Query.from_(finished, alias="finishedTAs"),
-            on=col("a.ta") == col("finishedTAs.ta"),
-        )
-        .where((col("a.operation") == lit("w")) & is_null(col("finishedTAs.ta")))
-        .select("a.object", "a.ta", "a.operation")
-        .distinct(),
-        "WLockedObjects",
-    )
-
-    ops_on_w = (
-        Query.from_(requests, alias="r")
-        .join(
-            Query.from_(w_locked, alias="wlo"),
-            on=(col("r.object") == col("wlo.object")) & (col("r.ta") != col("wlo.ta")),
-        )
-        .select("r.ta", "r.intrata")
-    )
-    ops_on_r = (
-        Query.from_(requests, alias="r")
-        .where(col("r.operation") == lit("w"))
-        .join(
-            Query.from_(r_locked, alias="rl"),
-            on=(col("r.object") == col("rl.object")) & (col("r.ta") != col("rl.ta")),
-        )
-        .select("r.ta", "r.intrata")
-    )
-    intra_batch = (
-        Query.from_(requests, alias="r2")
-        .join(
-            Query.from_(requests, alias="r1"),
-            on=(col("r2.object") == col("r1.object")) & (col("r2.ta") > col("r1.ta")),
-        )
-        .where(
-            or_(
-                col("r1.operation") == lit("w"),
-                col("r2.operation") == lit("w"),
-            )
-        )
-        .select("r2.ta", "r2.intrata")
-    )
-
-    all_ops = Query.from_(requests, alias="r").select("r.ta", "r.intrata")
-    denials = ops_on_w.union_all(intra_batch).union_all(ops_on_r)
-    qualified_keys = cte(all_ops.except_(denials), "QualifiedSS2PLOps")
-    return (
-        Query.from_(requests, alias="r2")
-        .join(
-            Query.from_(qualified_keys, alias="q"),
-            on=(col("r2.ta") == col("q.ta")) & (col("r2.intrata") == col("q.intrata")),
-        )
-        .select("r2.id", "r2.ta", "r2.intrata", "r2.operation", "r2.object")
-        .order_by("id")
-    )
-
-
-def _listing1_pipeline_rows(requests: Table, history: Table) -> list[tuple]:
-    return listing1_pipeline(requests, history)["qualified_requests"].rows
-
-
 LISTING1_SPEC = register_spec(
     ProtocolSpec(
         name="ss2pl-listing1",
         description="SS2PL via the paper's Listing 1 query",
         capabilities=_FULL_CAPS,
-        relalg=listing1_query,
-        relalg_pipeline=_listing1_pipeline_rows,
         sql=LISTING1_SQL,
         sqlite_sql=LISTING1_SQLITE,
         datalog=SS2PL_DATALOG_RULES,
@@ -460,16 +226,11 @@ SELECT id, ta, intrata, operation, object FROM requests
 """
 
 
-def _fcfs_query(requests: Table, history: Table) -> Query:
-    return Query.from_(requests).order_by("id")
-
-
 FCFS_SPEC = register_spec(
     ProtocolSpec(
         name="fcfs",
         description="first-come-first-served, no consistency constraints",
         capabilities=_NO_QOS_CAPS,
-        relalg=_fcfs_query,
         sql=FCFS_SQL,
         datalog=FCFS_RULES,
         lock_model=NO_LOCKS,
@@ -519,66 +280,11 @@ WHERE r.ta=q.ta AND r.intrata=q.intrata
 """
 
 
-def read_committed_query(requests: Table, history: Table) -> Query:
-    """Write-write blocking only, as a deferred relalg plan."""
-    finished = cte(
-        Query.from_(history, alias="f")
-        .where(or_(col("f.operation") == lit("a"), col("f.operation") == lit("c")))
-        .select("f.ta")
-        .distinct(),
-        "FinishedTAs",
-    )
-    w_locked = cte(
-        Query.from_(history, alias="a")
-        .where(col("a.operation") == lit("w"))
-        .anti_join(
-            Query.from_(finished, alias="fin"),
-            on=col("a.ta") == col("fin.ta"),
-        )
-        .select("a.object", "a.ta")
-        .distinct(),
-        "WLockedObjects",
-    )
-    ops_on_w = (
-        Query.from_(requests, alias="r")
-        .where(col("r.operation") == lit("w"))
-        .join(
-            Query.from_(w_locked, alias="wlo"),
-            on=(col("r.object") == col("wlo.object")) & (col("r.ta") != col("wlo.ta")),
-        )
-        .select("r.ta", "r.intrata")
-    )
-    intra_batch = (
-        Query.from_(requests, alias="r2")
-        .where(col("r2.operation") == lit("w"))
-        .join(
-            Query.from_(requests, alias="r1"),
-            on=(col("r2.object") == col("r1.object")) & (col("r2.ta") > col("r1.ta")),
-        )
-        .where(col("r1.operation") == lit("w"))
-        .select("r2.ta", "r2.intrata")
-    )
-    all_ops = Query.from_(requests, alias="r").select("r.ta", "r.intrata")
-    qualified_keys = cte(
-        all_ops.except_(ops_on_w.union_all(intra_batch)), "QualifiedOps"
-    )
-    return (
-        Query.from_(requests, alias="r2")
-        .join(
-            Query.from_(qualified_keys, alias="q"),
-            on=(col("r2.ta") == col("q.ta")) & (col("r2.intrata") == col("q.intrata")),
-        )
-        .select("r2.id", "r2.ta", "r2.intrata", "r2.operation", "r2.object")
-        .order_by("id")
-    )
-
-
 READ_COMMITTED_SPEC = register_spec(
     ProtocolSpec(
         name="read-committed",
         description="relaxed consistency: only write-write conflicts block",
         capabilities=_NO_QOS_CAPS,
-        relalg=read_committed_query,
         sql=READ_COMMITTED_SQL,
         datalog=READ_COMMITTED_RULES,
         lock_model=READ_COMMITTED_LOCKS,
@@ -634,67 +340,11 @@ WHERE r.ta=q.ta AND r.intrata=q.intrata
 """
 
 
-def exclusive_query(requests: Table, history: Table) -> Query:
-    """Exclusive-only locking as a deferred relalg plan."""
-    data_op = lambda c: or_(c == lit("r"), c == lit("w"))  # noqa: E731
-    finished = cte(
-        Query.from_(history, alias="f")
-        .where(or_(col("f.operation") == lit("a"), col("f.operation") == lit("c")))
-        .select("f.ta")
-        .distinct(),
-        "FinishedTAs",
-    )
-    locked = cte(
-        Query.from_(history, alias="a")
-        .where(data_op(col("a.operation")))
-        .anti_join(
-            Query.from_(finished, alias="fin"),
-            on=col("a.ta") == col("fin.ta"),
-        )
-        .select("a.object", "a.ta")
-        .distinct(),
-        "LockedObjects",
-    )
-    ops_on_locked = (
-        Query.from_(requests, alias="r")
-        .where(data_op(col("r.operation")))
-        .join(
-            Query.from_(locked, alias="l"),
-            on=(col("r.object") == col("l.object")) & (col("r.ta") != col("l.ta")),
-        )
-        .select("r.ta", "r.intrata")
-    )
-    intra_batch = (
-        Query.from_(requests, alias="r2")
-        .where(data_op(col("r2.operation")))
-        .join(
-            Query.from_(requests, alias="r1"),
-            on=(col("r2.object") == col("r1.object")) & (col("r2.ta") > col("r1.ta")),
-        )
-        .where(data_op(col("r1.operation")))
-        .select("r2.ta", "r2.intrata")
-    )
-    all_ops = Query.from_(requests, alias="r").select("r.ta", "r.intrata")
-    qualified_keys = cte(
-        all_ops.except_(ops_on_locked.union_all(intra_batch)), "QualifiedOps"
-    )
-    return (
-        Query.from_(requests, alias="r2")
-        .join(
-            Query.from_(qualified_keys, alias="q"),
-            on=(col("r2.ta") == col("q.ta")) & (col("r2.intrata") == col("q.intrata")),
-        )
-        .select("r2.id", "r2.ta", "r2.intrata", "r2.operation", "r2.object")
-        .order_by("id")
-    )
-
-
 EXCLUSIVE_SPEC = register_spec(
     ProtocolSpec(
         name="exclusive",
         description="2PL with exclusive-only locks: reads lock like writes",
         capabilities=_NO_QOS_CAPS,
-        relalg=exclusive_query,
         sql=EXCLUSIVE_SQL,
         datalog=EXCLUSIVE_RULES,
         lock_model=EXCLUSIVE_LOCKS,

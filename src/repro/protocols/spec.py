@@ -7,10 +7,11 @@ performance without affecting the scheduler specification".  This
 module is that separation made structural:
 
 * :class:`ProtocolSpec` captures **what** a protocol is — its
-  qualification query in one or more declarative dialects (a relalg
-  logical-plan builder, SQL text, Datalog rules, a lock-conflict
-  model), an optional batch post-processing policy, and metadata.  A
-  spec contains **zero execution logic**: nothing in it knows how to
+  qualification query in one or more declarative dialects (SQL text,
+  Datalog rules, a lock-conflict model), an optional batch
+  post-processing policy, and metadata.  The SQL text is the one
+  relational statement of the rule: every relational engine plans it.
+  A spec contains **zero execution logic**: nothing in it knows how to
   scan a table, probe an index, or cache a plan.
 * :mod:`repro.backends` holds the **how**: pluggable
   :class:`~repro.backends.base.ExecutionBackend` adapters, each of
@@ -25,13 +26,10 @@ test suite and by the E14 bench.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.protocols.base import Capabilities, ProtocolDecision
 from repro.relalg.table import Table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.relalg.query import Query
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,13 +89,9 @@ class ProtocolSpec:
     capabilities: Capabilities = Capabilities()
 
     # -- query dialects ---------------------------------------------------
-    #: Relalg logical-plan builder ``(requests, history) -> Query``.
-    #: Purely declarative: builds the plan DAG, executes nothing.
-    relalg: Optional[Callable[[Table, Table], "Query"]] = None
-    #: Eager step-by-step relalg formulation (the paper's "naive" CTE-at-
-    #: a-time evaluation); returns the qualified Table 2 rows.
-    relalg_pipeline: Optional[Callable[[Table, Table], list]] = None
-    #: SQL text over ``requests``/``history`` (Table 2 schema).
+    #: SQL text over ``requests``/``history`` (Table 2 schema); the
+    #: relational engines plan it through
+    #: :class:`~repro.relalg.sql.SqlPlanner`.
     sql: Optional[str] = None
     #: sqlite-compatible rendition of :attr:`sql` when the primary text
     #: uses constructs sqlite parses differently; defaults to ``sql``.
@@ -130,10 +124,6 @@ class ProtocolSpec:
     def dialects(self) -> frozenset[str]:
         """Names of the query dialects this spec provides."""
         present = set()
-        if self.relalg is not None:
-            present.add("relalg")
-        if self.relalg_pipeline is not None:
-            present.add("relalg-pipeline")
         if self.sql is not None:
             present.add("sql")
         if self.sqlite_sql is not None or self.sql is not None:

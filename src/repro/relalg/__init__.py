@@ -19,9 +19,9 @@ engine with
   physical operators with compiled expressions, index-aware joins and
   delta-maintained build tables — analyze once, execute per step.
 
-The scheduling protocols in :mod:`repro.protocols` are written against
-this API; :mod:`repro.sqlbridge` cross-checks results against sqlite3
-running the paper's literal SQL.
+The scheduling protocols in :mod:`repro.protocols` are SQL texts that
+:mod:`repro.relalg.sql` plans onto this engine; :mod:`repro.sqlbridge`
+cross-checks results against sqlite3.
 """
 
 from repro.relalg.schema import Column, Schema
@@ -36,7 +36,7 @@ from repro.relalg.expressions import (
     not_,
     compile_expr,
 )
-from repro.relalg.query import Query, Pipeline, cte
+from repro.relalg.query import Query, cte
 from repro.relalg.plan import CompiledPlan, PlanCache
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "not_",
     "compile_expr",
     "Query",
-    "Pipeline",
     "cte",
     "CompiledPlan",
     "PlanCache",

@@ -285,7 +285,7 @@ class DStatic(DeltaNode):
 
 
 class DIdentity(DeltaNode):
-    """Schema-only change (alias, unqualify, rename, validated sort)."""
+    """Schema-only change (alias, validated sort, identity projection)."""
 
     label = "identity"
 
@@ -1045,6 +1045,9 @@ class _Lowering:
             child, schema = self.lower(node.child)
             positions = [schema.resolve(*_split(c)) for c in node.columns]
             out = node.derive_schema(schema)
+            if positions == list(range(schema.arity)):
+                # Keeps every column in place: the rows pass through.
+                return self.wire(DIdentity(out), [child]), out
             return self.wire(DProject(out, positions), [child]), out
         if isinstance(node, ExtendNode):
             child, schema = self.lower(node.child)
@@ -1102,11 +1105,6 @@ class _Lowering:
             return self._lower_join(node)
         from repro.relalg import sql as _sql
 
-        if isinstance(node, (_sql._UnqualifyNode, _sql._RenameColumnsNode)):
-            # Both only rename columns: the rows pass through untouched.
-            child, schema = self.lower(node.child)
-            out = node.derive_schema(schema)
-            return self.wire(DIdentity(out), [child]), out
         if isinstance(node, _sql._UncorrelatedExistsNode):
             left, left_schema = self.lower(node.left)
             right, __ = self.lower(node.right)

@@ -25,6 +25,7 @@ Two evaluation strategies share one tree:
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Any, Callable, Optional, Sequence
 
@@ -535,6 +536,13 @@ def split_conjuncts(expr: Expr) -> list[Expr]:
 # -- compilation ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _code_of(source: str):
+    """*source* compiled once per process: every plan built for a rule
+    (one per pair of stores) renders the same expressions again."""
+    return compile(source, "<relalg:compiled-expr>", "exec")
+
+
 def compile_expr(expr: Expr, schema: Schema, predicate: bool = False) -> Bound:
     """Compile *expr* against *schema* into a single Python function.
 
@@ -556,7 +564,7 @@ def compile_expr(expr: Expr, schema: Schema, predicate: bool = False) -> Bound:
         return expr.bind(schema)
     source = f"def _compiled(_row):\n    return {fragment}\n"
     namespace = dict(ctx.env)
-    exec(compile(source, "<relalg:compiled-expr>", "exec"), namespace)
+    exec(_code_of(source), namespace)
     fn = namespace["_compiled"]
     fn.__relalg_source__ = source
     return fn

@@ -30,7 +30,7 @@ from repro.relalg.query import (
     JoinNode,
     PlanNode,
 )
-from repro.relalg.schema import Schema, SchemaError
+from repro.relalg.schema import Schema
 
 
 def _covers(schema: Schema, expr: Expr) -> bool:
@@ -39,12 +39,7 @@ def _covers(schema: Schema, expr: Expr) -> bool:
     refs = expr.referenced_columns()
     if not refs:
         return True
-    for qualifier, name in refs:
-        try:
-            schema.resolve(name, qualifier)
-        except SchemaError:
-            return False
-    return True
+    return all(schema.has(name, qualifier) for qualifier, name in refs)
 
 
 def split_join_predicate(
@@ -113,11 +108,7 @@ def _resolves_only(
 
 
 def _resolvable(schema: Schema, ref: ColumnRef) -> bool:
-    try:
-        schema.resolve(ref.name, ref.qualifier)
-    except SchemaError:
-        return False
-    return True
+    return schema.has(ref.name, ref.qualifier)
 
 
 def optimize_plan(plan: PlanNode) -> PlanNode:
@@ -193,6 +184,7 @@ def _rebuild_with_children(node: PlanNode, new_children: list[PlanNode]) -> Plan
         return node
     clone = object.__new__(type(node))
     clone.__dict__.update(getattr(node, "__dict__", {}))
+    clone.__dict__.pop("_schema", None)  # derived from the old children
     # Nodes keep children in well-known attribute names.
     if hasattr(node, "child"):
         clone.child = new_children[0]

@@ -220,15 +220,21 @@ class PFilter(PhysicalNode):
 
 
 class PProject(PhysicalNode):
-    def __init__(self, child: PhysicalNode, columns: Sequence[str]) -> None:
+    def __init__(
+        self, child: PhysicalNode, columns: Sequence[str], names: Sequence[str]
+    ) -> None:
         self.child = child
         self.positions = tuple(
             child.schema.resolve(*_split(name)) for name in columns
         )
-        self.schema = Schema([Column(_split(name)[0]) for name in columns])
+        self.schema = Schema([Column(name) for name in names])
         self.projector = row_projector(self.positions)
+        #: Keeps every column in place: rows are handed through as is.
+        self.identity = self.positions == tuple(range(child.schema.arity))
 
     def rows(self, ctx: ExecContext) -> list[tuple]:
+        if self.identity:
+            return self.child.rows(ctx)
         projector = self.projector
         return [projector(row) for row in self.child.rows(ctx)]
 
@@ -995,6 +1001,7 @@ def reduce_outer_joins(
             ProjectNode(
                 JoinNode(probe, build, join.predicate, "anti"),
                 project.columns,
+                project.names,
             )
         )
         break
@@ -1037,7 +1044,7 @@ def _compile(node: PlanNode, memo: dict[int, PhysicalNode]) -> PhysicalNode:
     if isinstance(node, FilterNode):
         return PFilter(compile_node(node.child, memo), node.predicate)
     if isinstance(node, ProjectNode):
-        return PProject(compile_node(node.child, memo), node.columns)
+        return PProject(compile_node(node.child, memo), node.columns, node.names)
     if isinstance(node, ExtendNode):
         return PExtend(compile_node(node.child, memo), node.name, node.expr)
     if isinstance(node, DistinctNode):
@@ -1062,20 +1069,6 @@ def _compile(node: PlanNode, memo: dict[int, PhysicalNode]) -> PhysicalNode:
     # optional layer above the core engine).
     from repro.relalg import sql as _sql
 
-    if isinstance(node, _sql._UnqualifyNode):
-        child = compile_node(node.child, memo)
-        return PPassthrough(child, child.schema.unqualified())
-    if isinstance(node, _sql._RenameColumnsNode):
-        child = compile_node(node.child, memo)
-        renamed = Schema(
-            [
-                Column(new_name) if new_name else column
-                for column, new_name in zip(
-                    child.schema.columns, node.renames
-                )
-            ]
-        )
-        return PPassthrough(child, renamed)
     if isinstance(node, _sql._UncorrelatedExistsNode):
         return PUncorrelatedExists(
             compile_node(node.left, memo),

@@ -1,11 +1,10 @@
-"""Fluent query builder and CTE-style pipelines.
+"""Fluent query builder over logical plan nodes.
 
 :class:`Query` builds a small logical plan (sources, filters, joins, set
 operations...) that is optimized (:mod:`repro.relalg.optimizer`) and then
-executed against the physical operators.  :class:`Pipeline` gives named
-intermediate results, mirroring the ``WITH`` chains of the paper's
-Listing 1, so the declarative SS2PL protocol transliterates one CTE at a
-time.
+executed against the physical operators; :func:`cte` names a shared
+subplan, the builder's form of SQL ``WITH``.  The SQL planner
+(:mod:`repro.relalg.sql`) emits the same nodes.
 
 Example::
 
@@ -45,9 +44,15 @@ class PlanNode:
         raise NotImplementedError
 
     def output_schema(self) -> Schema:
-        return self.derive_schema(
-            *[child.output_schema() for child in self.children()]
-        )
+        # Derived once per node: nothing changes a built node (the
+        # optimizer's rewrites build new ones), and planning asks again
+        # at every SELECT and pushed filter, down into every shared CTE.
+        schema = self.__dict__.get("_schema")
+        if schema is None:
+            schema = self._schema = self.derive_schema(
+                *[child.output_schema() for child in self.children()]
+            )
+        return schema
 
     def execute(self) -> Relation:
         raise NotImplementedError
@@ -109,21 +114,38 @@ class FilterNode(PlanNode):
 
 
 class ProjectNode(PlanNode):
-    def __init__(self, child: PlanNode, columns: Sequence[str]) -> None:
+    """π over *columns*; output column *i* is named ``names[i]`` (a SQL
+    ``AS`` alias), by default the column's unqualified name."""
+
+    def __init__(
+        self,
+        child: PlanNode,
+        columns: Sequence[str],
+        names: Optional[Sequence[str]] = None,
+    ) -> None:
         self.child = child
         self.columns = list(columns)
+        self.names = (
+            list(names) if names is not None
+            else [ops._split(c)[0] for c in self.columns]
+        )
 
     def derive_schema(self, child: Schema) -> Schema:
-        return Schema([Column(ops._split(c)[0]) for c in self.columns])
+        return Schema([Column(name) for name in self.names])
 
     def execute(self) -> Relation:
-        return ops.project(self.child.execute(), self.columns)
+        relation = ops.project(self.child.execute(), self.columns)
+        return Relation(self.derive_schema(relation.schema), relation.rows)
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
     def _describe(self) -> str:
-        return f"Project({', '.join(self.columns)})"
+        items = (
+            column if ops._split(column)[0] == name else f"{column} AS {name}"
+            for column, name in zip(self.columns, self.names)
+        )
+        return f"Project({', '.join(items)})"
 
 
 class ExtendNode(PlanNode):
@@ -487,43 +509,3 @@ class _AliasNode(PlanNode):
 
     def _describe(self) -> str:
         return f"Alias({self.alias})"
-
-
-class Pipeline:
-    """Named intermediate relations — SQL ``WITH`` for the builder API.
-
-    Each step is a function receiving the pipeline (to look up earlier
-    steps) and returning a :class:`Query` or :class:`Relation`.  Steps are
-    materialized in order, so later steps can reference earlier ones by
-    name via :meth:`ref`, and a step's result is computed exactly once.
-    """
-
-    def __init__(self) -> None:
-        self._relations: dict[str, Relation] = {}
-
-    def add_table(self, name: str, table: Table, alias: Optional[str] = None) -> None:
-        self._relations[name] = table.as_relation(alias or name)
-
-    def add_relation(self, name: str, relation: Relation) -> None:
-        self._relations[name] = relation
-
-    def add(self, name: str, step: Union[Query, Relation]) -> Relation:
-        relation = step.execute() if isinstance(step, Query) else step
-        self._relations[name] = relation
-        return relation
-
-    def ref(self, name: str, alias: Optional[str] = None) -> Query:
-        """A Query reading a previously-materialized step."""
-        relation = self[name]
-        return Query.from_(relation, alias)
-
-    def __getitem__(self, name: str) -> Relation:
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise KeyError(
-                f"pipeline has no step {name!r}; have {sorted(self._relations)}"
-            ) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._relations

@@ -49,14 +49,21 @@ class Schema:
         self.columns: tuple[Column, ...] = tuple(
             c if isinstance(c, Column) else Column(c) for c in columns
         )
-        # name -> list of positions (for ambiguity detection);
-        # "qualifier.name" -> position for qualified lookups.
-        index: dict[str, list[int]] = {}
-        for pos, column in enumerate(self.columns):
-            index.setdefault(column.name, []).append(pos)
-            if column.qualifier:
-                index.setdefault(column.qualified_name, []).append(pos)
-        self._index = index
+        # Built at the first lookup: planning derives many schemas that
+        # nothing ever resolves a column against.
+        self._index: Optional[dict[str, list[int]]] = None
+
+    def _lookup(self) -> dict[str, list[int]]:
+        """name -> positions (for ambiguity detection), plus
+        "qualifier.name" -> positions for qualified lookups."""
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            for pos, column in enumerate(self.columns):
+                index.setdefault(column.name, []).append(pos)
+                if column.qualifier:
+                    index.setdefault(column.qualified_name, []).append(pos)
+        return index
 
     @classmethod
     def of(cls, *names: str, qualifier: Optional[str] = None) -> "Schema":
@@ -77,7 +84,7 @@ class Schema:
         for unqualified references — ambiguous.
         """
         key = f"{qualifier}.{name}" if qualifier else name
-        positions = self._index.get(key)
+        positions = self._lookup().get(key)
         if not positions:
             raise SchemaError(
                 f"unknown column {key!r}; available: "
@@ -91,7 +98,7 @@ class Schema:
 
     def has(self, name: str, qualifier: Optional[str] = None) -> bool:
         key = f"{qualifier}.{name}" if qualifier else name
-        return len(self._index.get(key, ())) == 1
+        return len(self._lookup().get(key, ())) == 1
 
     def qualify(self, qualifier: str) -> "Schema":
         """Return a copy with every column re-qualified — the effect of

@@ -3,8 +3,9 @@
 Answers the paper's research question 1 — "To what extent can existing
 query languages be used to capture typical constraints on request
 schedules?" — operationally: the paper's Listing 1 SQL text parses and
-executes *on this repository's own engine* (the ``sqlfront`` backend,
-:mod:`repro.backends.sqlfront`), cross-checked against sqlite3.
+executes *on this repository's own engine*, cross-checked against
+sqlite3.  Every relational backend (``interpreted``, ``compiled``,
+``compiled-delta``) plans a spec's SQL through :class:`SqlPlanner`.
 
 Supported subset (everything Listing 1 and typical scheduling rules
 need)::
@@ -38,8 +39,9 @@ their case.
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.relalg.expressions import (
     And,
@@ -63,13 +65,12 @@ from repro.relalg.query import (
     OrderByNode,
     PlanNode,
     ProjectNode,
-    Query,
     SetOpNode,
     SourceNode,
     _AliasNode,
 )
 from repro.relalg.relation import Relation
-from repro.relalg.schema import Column, Schema
+from repro.relalg.schema import Schema
 from repro.relalg.table import Table
 
 
@@ -88,26 +89,25 @@ _KEYWORDS = {
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>--[^\n]*)
+    \s*  # whitespace before a token is skipped in the same match
+    (?: (?P<COMMENT>--[^\n]*)
   | (?P<NUMBER>\d+\.\d+|\d+)
   | (?P<STRING>'(?:[^']|'')*')
   | (?P<OP><>|!=|<=|>=|=|<|>)
   | (?P<LPAREN>\() | (?P<RPAREN>\))
   | (?P<COMMA>,) | (?P<DOT>\.) | (?P<STAR>\*) | (?P<SEMI>;)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*) )
     """,
     re.VERBOSE,
 )
 
 
 class _Token:
-    __slots__ = ("kind", "text", "pos")
+    __slots__ = ("kind", "text")
 
-    def __init__(self, kind: str, text: str, pos: int) -> None:
+    def __init__(self, kind: str, text: str) -> None:
         self.kind = kind
         self.text = text
-        self.pos = pos
 
     def __repr__(self) -> str:
         return f"_Token({self.kind}, {self.text!r})"
@@ -116,18 +116,23 @@ class _Token:
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise SqlError(f"unexpected character {source[pos]!r} at {pos}")
-        kind = match.lastgroup or ""
-        text = match.group()
-        if kind == "IDENT" and text.lower() in _KEYWORDS:
-            tokens.append(_Token("KW", text.lower(), pos))
-        elif kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, text, pos))
+    for match in _TOKEN_RE.finditer(source):
+        if match.start() != pos:
+            break  # finditer skipped a character no token matches
         pos = match.end()
-    tokens.append(_Token("EOF", "", pos))
+        kind = match.lastgroup
+        if kind == "COMMENT":
+            continue
+        text = match.group(kind)
+        if kind == "IDENT":
+            word = text.lower()
+            if word in _KEYWORDS:
+                kind, text = "KW", word
+        tokens.append(_Token(kind, text))
+    if source[pos:].strip():
+        pos += len(source[pos:]) - len(source[pos:].lstrip())
+        raise SqlError(f"unexpected character {source[pos]!r} at {pos}")
+    tokens.append(_Token("EOF", ""))
     return tokens
 
 
@@ -218,13 +223,15 @@ class _Parser:
         return self._tokens[self._pos]
 
     def _advance(self) -> _Token:
-        token = self._cur
+        token = self._tokens[self._pos]
         self._pos += 1
         return token
 
     def _accept_kw(self, *words: str) -> Optional[str]:
-        if self._cur.kind == "KW" and self._cur.text in words:
-            return self._advance().text
+        token = self._tokens[self._pos]
+        if token.kind == "KW" and token.text in words:
+            self._pos += 1
+            return token.text
         return None
 
     def _expect_kw(self, word: str) -> None:
@@ -232,9 +239,11 @@ class _Parser:
             raise SqlError(f"expected {word.upper()}, found {self._cur.text!r}")
 
     def _expect(self, kind: str) -> _Token:
-        if self._cur.kind != kind:
-            raise SqlError(f"expected {kind}, found {self._cur.text!r}")
-        return self._advance()
+        token = self._tokens[self._pos]
+        if token.kind != kind:
+            raise SqlError(f"expected {kind}, found {token.text!r}")
+        self._pos += 1
+        return token
 
     # statement := [WITH ...] set_expr [ORDER BY ...]
     def statement(self) -> _Statement:
@@ -442,6 +451,13 @@ class _Parser:
 # -- planner --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _parse(source: str) -> _Statement:
+    """*source* parsed once per process: a spec's text is planned again
+    for every new pair of stores, and planning only reads the tree."""
+    return _Parser(source).statement()
+
+
 class SqlPlanner:
     """Plans parsed SQL against a catalog of tables/relations."""
 
@@ -463,17 +479,13 @@ class SqlPlanner:
         """
         from repro.relalg.optimizer import optimize_plan
 
-        statement = _Parser(source).statement()
+        statement = _parse(source)
         scope = dict(self._catalog)
         for name, body in statement.ctes:
             if defer_ctes:
-                scope[name] = CTENode(
-                    _UnqualifyNode(self._plan_set_expr(body, scope)), name
-                )
+                scope[name] = CTENode(self._plan_set_expr(body, scope), name)
                 continue
-            cte_plan = optimize_plan(self._plan_set_expr(body, scope))
-            relation = cte_plan.execute()
-            scope[name] = Relation(relation.schema.unqualified(), relation.rows)
+            scope[name] = optimize_plan(self._plan_set_expr(body, scope)).execute()
         order_by = statement.order_by
         if order_by and isinstance(statement.body, _SelectCore):
             # SQL permits ordering by source columns dropped from the
@@ -511,7 +523,7 @@ class SqlPlanner:
     def _source(self, item: _FromItem, scope) -> PlanNode:
         if item.subquery is not None:
             inner = self._plan_set_expr(item.subquery, scope)
-            return _AliasNode(_UnqualifyNode(inner), item.alias)
+            return _AliasNode(inner, item.alias)
         try:
             source = scope[item.table]
         except KeyError:
@@ -608,18 +620,19 @@ class SqlPlanner:
         return JoinNode(plan, right_plan, join_predicate, how)
 
     def _plan_projection(self, plan: PlanNode, core: _SelectCore) -> PlanNode:
-        schema = plan.output_schema()
+        """Every SELECT ends here, so its output columns are unqualified
+        and a CTE or subquery is re-aliased as it stands."""
         columns: list[str] = []
-        renames: list[Optional[str]] = []
+        names: list[str] = []
         for item in core.items:
             if item.is_star:
-                for column in schema:
+                for column in plan.output_schema():
                     if (
                         item.star_qualifier is None
                         or column.qualifier == item.star_qualifier
                     ):
                         columns.append(column.qualified_name)
-                        renames.append(None)
+                        names.append(column.name)
                 continue
             if not isinstance(item.expr, ColumnRef):
                 raise SqlError(
@@ -628,11 +641,8 @@ class SqlPlanner:
             ref = item.expr
             name = f"{ref.qualifier}.{ref.name}" if ref.qualifier else ref.name
             columns.append(name)
-            renames.append(item.alias)
-        project = ProjectNode(plan, columns)
-        if any(renames):
-            return _RenameColumnsNode(project, renames)
-        return project
+            names.append(item.alias or ref.name)
+        return ProjectNode(plan, columns, names)
 
 
 def _contains_exists(expr: Expr) -> bool:
@@ -647,46 +657,6 @@ def _contains_exists(expr: Expr) -> bool:
         if isinstance(child, Expr) and _contains_exists(child):
             return True
     return False
-
-
-class _UnqualifyNode(PlanNode):
-    """Strips qualifiers so a subquery can be re-aliased cleanly."""
-
-    def __init__(self, child: PlanNode) -> None:
-        self.child = child
-
-    def derive_schema(self, child: Schema) -> Schema:
-        return child.unqualified()
-
-    def execute(self) -> Relation:
-        relation = self.child.execute()
-        return Relation(self.derive_schema(relation.schema), relation.rows)
-
-    def children(self):
-        return [self.child]
-
-
-class _RenameColumnsNode(PlanNode):
-    """Applies SELECT-list aliases (``expr AS name``)."""
-
-    def __init__(self, child: PlanNode, renames: Sequence[Optional[str]]) -> None:
-        self.child = child
-        self.renames = list(renames)
-
-    def derive_schema(self, child: Schema) -> Schema:
-        return Schema(
-            [
-                Column(new_name) if new_name else column
-                for column, new_name in zip(child.columns, self.renames)
-            ]
-        )
-
-    def execute(self) -> Relation:
-        relation = self.child.execute()
-        return Relation(self.derive_schema(relation.schema), relation.rows)
-
-    def children(self):
-        return [self.child]
 
 
 class _UncorrelatedExistsNode(PlanNode):

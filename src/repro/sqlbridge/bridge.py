@@ -7,10 +7,14 @@ from typing import Iterable, Sequence
 
 from repro.model.request import Request
 
-#: Listing 1 with sqlite-compatible quoting.  sqlite accepts the paper's
-#: SQL as-is except that ``object`` is not reserved and needs no change;
-#: the only edit is stylistic normalization of the trailing SELECT.
-_LISTING1_SQLITE = """\
+#: Listing 1 as sqlite3 will run it.  sqlite rejects the paper's text
+#: (``near "(": syntax error``): ``QualifiedSS2PLOps`` parenthesises the
+#: operands of its compound ``SELECT``, which sqlite's grammar does not
+#: allow.  This rendition writes the ``EXCEPT`` operand as a subquery
+#: over an unparenthesised ``UNION ALL``, names every CTE column with
+#: ``AS``, and orders the result by id.  The protocol spec layer feeds
+#: it to the sqlite backend as the ``sqlite_sql`` dialect.
+LISTING1_SQLITE = """\
 WITH RLockedObjects AS
  (SELECT a.object AS object, a.ta AS ta, a.operation AS operation
   FROM history a
@@ -54,10 +58,6 @@ FROM requests r2, QualifiedSS2PLOps ss2PL
 WHERE r2.ta=ss2PL.ta AND r2.intrata=ss2PL.intrata
 ORDER BY r2.id
 """
-
-#: Public name for the sqlite rendition of Listing 1 (the protocol spec
-#: layer feeds it to the sqlite backend as the ``sqlite_sql`` dialect).
-LISTING1_SQLITE = _LISTING1_SQLITE
 
 _SCHEMA = """\
 CREATE TABLE requests (
@@ -135,7 +135,7 @@ class SqliteScheduler:
 
     def qualified_requests(self) -> list[Request]:
         """Run Listing 1; returns qualified requests in id order."""
-        rows = self._conn.execute(_LISTING1_SQLITE).fetchall()
+        rows = self._conn.execute(LISTING1_SQLITE).fetchall()
         return [Request.from_row(row) for row in rows]
 
     def scheduler_step(self, incoming: Sequence[Request]) -> list[Request]:

@@ -189,14 +189,14 @@ class TestSpecRules:
     def test_s001_fires_on_wrong_projection(self):
         spec = ProtocolSpec(
             name="bad-projection",
-            relalg=lambda r, h: Query.from_(r).select("id", "ta"),
+            sql="SELECT id, ta FROM requests",
         )
         assert "S001" in _rules_of(check_spec(spec))
 
     def test_s001_silent_on_table2_projection(self):
         spec = ProtocolSpec(
             name="good-projection",
-            relalg=lambda r, h: Query.from_(r).select(*REQUEST_COLUMNS),
+            sql=f"SELECT {', '.join(REQUEST_COLUMNS)} FROM requests",
         )
         assert "S001" not in _rules_of(check_spec(spec))
 
@@ -220,7 +220,7 @@ class TestSpecRules:
     def test_s003_fires_when_checking_model_tests_no_codes(self):
         spec = ProtocolSpec(
             name="missing-codes",
-            relalg=lambda r, h: Query.from_(r),
+            sql="SELECT * FROM requests",
             lock_model=SS2PL_LOCKS,
         )
         findings = [f for f in check_spec(spec) if f.rule == "S003"]
@@ -229,9 +229,7 @@ class TestSpecRules:
     def test_s003_fires_when_no_locks_model_branches_on_codes(self):
         spec = ProtocolSpec(
             name="surplus-codes",
-            relalg=lambda r, h: Query.from_(r).where(
-                col("operation") == lit("w")
-            ),
+            sql="SELECT * FROM requests WHERE operation = 'w'",
             lock_model=NO_LOCKS,
         )
         assert "S003" in _rules_of(check_spec(spec))
@@ -239,7 +237,7 @@ class TestSpecRules:
     def test_s003_silent_on_consistent_spec(self):
         spec = ProtocolSpec(
             name="consistent",
-            relalg=lambda r, h: Query.from_(r),
+            sql="SELECT * FROM requests",
             lock_model=NO_LOCKS,
         )
         assert "S003" not in _rules_of(check_spec(spec))
@@ -379,32 +377,34 @@ class TestLowerabilityRules:
 
     def test_explain_refusal_cites_rule_and_path(self):
         spec = ProtocolSpec(
-            name="limited",
-            relalg=lambda r, h: Query.from_(r).limit(2),
+            name="keyless",
+            sql=(
+                "SELECT r.id, r.ta, r.intrata, r.operation, r.object "
+                "FROM requests r LEFT JOIN history h ON r.id < h.id"
+            ),
         )
         reason = explain_refusal(spec)
-        assert "(D101)" in reason and "limited/relalg" in reason
+        assert "(D102)" in reason and "keyless/sql" in reason
         assert explain_refusal(
-            ProtocolSpec(name="fine", relalg=lambda r, h: Query.from_(r))
+            ProtocolSpec(name="fine", sql="SELECT * FROM requests")
         ) == ""
 
-    def test_d106_names_the_exception_a_relalg_builder_raised(self):
+    def test_d106_names_the_exception_planning_raised(self):
         import pytest
 
         from repro.backends import BackendError, build_protocol
 
-        def broken(requests, history):
-            raise ZeroDivisionError("builder blew up")
-
-        spec = ProtocolSpec(name="broken-builder", relalg=broken)
+        spec = ProtocolSpec(
+            name="broken-sql", sql="SELECT id FROM no_such_table"
+        )
         prediction = predict_delta_lowerability(spec)
         assert not prediction.lowerable
         assert prediction.refusal.rule == "D106"
-        assert prediction.refusal.subject == "broken-builder/relalg"
+        assert prediction.refusal.subject == "broken-sql/sql"
         with pytest.raises(BackendError) as refused:
             build_protocol(spec, "compiled-delta")
         text = str(refused.value)
-        assert "ZeroDivisionError" in text and "builder blew up" in text
+        assert "SqlError" in text and "no_such_table" in text
         assert "(D106)" in text
 
     def test_d106_carries_the_path_of_a_failed_resolution(self):
@@ -446,39 +446,39 @@ class TestPlanLints:
     def test_p202_fires_on_self_comparison(self):
         spec = ProtocolSpec(
             name="dead-filter",
-            relalg=lambda r, h: Query.from_(r).where(col("id") == col("id")),
+            sql="SELECT * FROM requests WHERE id = id",
         )
         assert "P202" in _rules_of(check_spec(spec))
 
     def test_p202_fires_on_constant_predicate(self):
-        spec = ProtocolSpec(
-            name="const-filter",
-            relalg=lambda r, h: Query.from_(r).where(lit(True)),
-        )
-        assert "P202" in _rules_of(check_spec(spec))
+        # SQL has no bare TRUE: lint a hand-built constant filter.
+        from repro.analysis.speccheck import _lint_dead_filters
+        from repro.core.stores import empty_table2_stores
+
+        requests, __ = empty_table2_stores()
+        plan = Query.from_(requests).where(lit(True)).plan
+        assert "P202" in _rules_of(_lint_dead_filters("const-filter/sql", plan))
 
     def test_p202_silent_on_live_filter(self):
         spec = ProtocolSpec(
             name="live-filter",
-            relalg=lambda r, h: Query.from_(r).where(col("id") > lit(0)),
+            sql="SELECT * FROM requests WHERE id > 0",
         )
         assert "P202" not in _rules_of(check_spec(spec))
 
     def test_p203_fires_on_nested_loop_join(self):
         spec = ProtocolSpec(
             name="theta-join",
-            relalg=lambda r, h: Query.from_(r, alias="l").join(
-                Query.from_(h, alias="x"), on=col("l.id") < col("x.id")
-            ),
+            sql="SELECT * FROM requests l, history x WHERE l.id < x.id",
         )
         assert "P203" in _rules_of(check_spec(spec))
 
     def test_p203_silent_on_equi_join(self):
         spec = ProtocolSpec(
             name="equi-join",
-            relalg=lambda r, h: Query.from_(r, alias="l").join(
-                Query.from_(h, alias="x"),
-                on=col("l.object") == col("x.object"),
+            sql=(
+                "SELECT * FROM requests l, history x "
+                "WHERE l.object = x.object"
             ),
         )
         assert "P203" not in _rules_of(check_spec(spec))

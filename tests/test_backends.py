@@ -35,7 +35,7 @@ from tests.conftest import (
 class TestRegistry:
     def test_builtin_backends_registered(self):
         assert {
-            "interpreted", "compiled", "sqlfront", "sqlite",
+            "interpreted", "compiled", "sqlite",
             "datalog", "imperative", "incremental",
         } <= set(BACKEND_REGISTRY)
 

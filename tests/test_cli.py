@@ -92,7 +92,7 @@ class TestRegistrySubcommands:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         for backend in ("compiled", "interpreted", "datalog", "sqlite",
-                        "sqlfront", "imperative", "incremental"):
+                        "imperative", "incremental"):
             assert backend in out
 
 

@@ -482,6 +482,86 @@ class TestLoweringRefusals:
             lower_delta_plan(query)
 
 
+class TestShippedPlanShapes:
+    """Planned from SQL text, the shipped specs keep the plans a
+    hand-built plan had: an identity projection copies no rows, column
+    aliases ride on the projection, pass-through operators never stack,
+    and no ``LEFT JOIN ... IS NULL`` idiom survives as a left join."""
+
+    @staticmethod
+    def _lowered_specs():
+        from repro.backends import supported_backends
+        from repro.protocols.spec import SPEC_REGISTRY, spec_names
+
+        return [
+            SPEC_REGISTRY[name]
+            for name in spec_names()
+            if "compiled-delta" in supported_backends(SPEC_REGISTRY[name])
+        ]
+
+    @staticmethod
+    def _plans(spec):
+        from repro.backends.base import spec_plan
+        from repro.core.stores import empty_table2_stores
+        from repro.relalg.plan import CompiledPlan
+
+        requests, history = empty_table2_stores()
+        return (
+            lower_delta_plan(spec_plan(spec, requests, history)),
+            CompiledPlan(spec_plan(spec, requests, history)),
+        )
+
+    def test_every_lowered_spec_is_checked(self):
+        assert len(self._lowered_specs()) >= 6
+
+    def test_pass_through_operators_do_no_work(self):
+        from repro.relalg.delta import DIdentity, DProject
+
+        for spec in self._lowered_specs():
+            plan, __ = self._plans(spec)
+            child_of = {
+                id(parent): child
+                for child in plan.order
+                for parent, __ in plan.parents.get(id(child), ())
+            }
+            for node in plan.order:
+                if isinstance(node, DIdentity):
+                    assert not isinstance(child_of[id(node)], DIdentity), (
+                        f"{spec.name}: stacked pass-through operators"
+                    )
+                if isinstance(node, DProject):
+                    probe = tuple(range(child_of[id(node)].schema.arity))
+                    assert node.projector(probe) != probe, (
+                        f"{spec.name}: identity projection copies rows"
+                    )
+
+    def test_no_left_join_survives(self):
+        from repro.relalg.delta import DLeftJoin
+        from repro.relalg.plan import PHashJoin
+
+        def physical_nodes(node):
+            yield node
+            for child in node.children():
+                yield from physical_nodes(child)
+
+        for spec in self._lowered_specs():
+            delta, compiled = self._plans(spec)
+            assert not any(isinstance(n, DLeftJoin) for n in delta.order), (
+                spec.name
+            )
+            assert not any(
+                isinstance(n, PHashJoin) and n.how == "left"
+                for n in physical_nodes(compiled.physical)
+            ), spec.name
+
+    def test_ss2pl_delta_plan_size(self):
+        from repro.protocols.spec import get_spec
+
+        # The hand-built Listing 1 plan lowered to 36 operators.
+        plan, __ = self._plans(get_spec("ss2pl"))
+        assert plan.node_count <= 35
+
+
 class TestDecodeOnce:
     """``decoded_rows`` builds each result row's object once per stay
     in the result and drops it exactly when the row leaves."""

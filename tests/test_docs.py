@@ -1,6 +1,7 @@
 """Docs stay true: relative links resolve, every ``python`` block in
 docs/api.md and docs/analysis.md executes, and nothing quotes the
-retired pre-ledger benchmark surface or the removed sharding options.
+retired pre-ledger benchmark surface, the removed sharding options or
+the retired hand-built plan builders.
 
 These snippets are what users paste first; executing them here (and in
 CI's docs job) keeps the documented surface from drifting away from
@@ -44,10 +45,24 @@ _RETIRED_SHARDING = [
     'reserve_mode="' + 'ordered"',
     "ordered" + "_patience",
 ]
+#: The second and third statements of each relational rule — the
+#: hand-built plan builders, the hand-run Listing 1 pipeline, the SQL
+#: frontend backend and the dialect chooser between them — spelled in
+#: parts for the same reason.  Every relational engine plans the spec's
+#: SQL text.
+_RETIRED_PLAN_BUILDERS = [
+    "sql" + "front",
+    "relalg" + "=",
+    "relalg" + "_pipeline",
+    "listing1" + "_query",
+    "listing1" + "_pipeline",
+    "plan" + "_dialect",
+]
 RETIRED_NAMES = (
     [f"BENCH_{name}" for name in _RETIRED_BENCHES]
     + [f"bench_{name}.py" for name in _RETIRED_BENCHES]
     + _RETIRED_SHARDING
+    + _RETIRED_PLAN_BUILDERS
 )
 MAY_NAME_RETIRED = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
 

@@ -10,7 +10,8 @@ from repro.bench.incremental_ablation import drive_steps
 from repro.core.scheduler import DeclarativeScheduler
 from repro.model.request import Request
 from repro.protocols.base import Protocol
-from repro.protocols.library import listing1_pipeline, listing1_query
+from repro.backends.base import spec_plan
+from repro.protocols.library import LISTING1_SPEC
 from repro.relalg.expressions import col, compile_expr, is_null, lit, or_
 from repro.relalg.plan import (
     CompiledPlan,
@@ -22,6 +23,7 @@ from repro.relalg.plan import (
 )
 from repro.relalg.query import Query, cte
 from repro.relalg.schema import Column, Schema
+from repro.relalg.sql import SqlPlanner
 from repro.relalg.table import Table
 
 
@@ -263,7 +265,7 @@ class TestCompiledPlanExecution:
     def test_empty_tables(self):
         requests = make_requests([])
         history = make_history([])
-        plan = CompiledPlan(listing1_query(requests, history).plan)
+        plan = CompiledPlan(spec_plan(LISTING1_SPEC, requests, history))
         assert plan.execute().rows == []
 
 
@@ -300,20 +302,20 @@ class TestListing1Compiled:
         pending_store, history_store = PendingStore(), HistoryStore()
         pending_store.insert_batch(incoming)
         history_store.record_batch(history)
-        interpreted = listing1_pipeline(
-            pending_store.table, history_store.table
-        )["qualified_requests"].rows
+        interpreted = SqlPlanner(
+            {"requests": pending_store.table, "history": history_store.table}
+        ).execute(LISTING1_SPEC.sql).rows
         compiled = (
             api.make_protocol("ss2pl-listing1", "compiled")
             .evaluator.plans.get(pending_store.table, history_store.table)
             .execute()
             .rows
         )
-        assert interpreted == compiled
+        assert sorted(interpreted) == sorted(compiled)
 
 
 class TestRandomizedEquivalence:
-    """~50 random workloads: the interpreted pipeline, the compiled
+    """~50 random workloads: the interpreted (eager-CTE) plan, the compiled
     plan, and the incrementally maintained protocol emit identical
     qualified batches on every scheduler step."""
 

@@ -29,7 +29,6 @@ BACKENDS = [
     api.make_protocol("ss2pl-listing1", "datalog"),
     SDLProtocol(SDL_SS2PL),
     api.make_protocol("ss2pl-listing1", "sqlite"),
-    api.make_protocol("ss2pl-listing1", "sqlfront"),
     ImperativeSS2PLScheduler(),
 ]
 

@@ -4,7 +4,8 @@ import pytest
 
 import repro.api as api
 from repro.core.stores import HistoryStore, PendingStore
-from repro.protocols.library import listing1_pipeline
+from repro.protocols.library import LISTING1_SQL
+from repro.relalg.sql import SqlPlanner
 
 from tests.conftest import (
     empty_history_table,
@@ -66,8 +67,11 @@ class TestReadLocks:
         history_table = empty_history_table()
         for r in history:
             history_table.insert(r.as_row())
-        pipeline = listing1_pipeline(pipeline_requests, history_table)
-        r_locked = pipeline["RLockedObjects"].rows
+        # Listing 1's CTEs, planned eagerly, then read back by name.
+        ctes = LISTING1_SQL[: LISTING1_SQL.index("SELECT r2.*")]
+        r_locked = SqlPlanner(
+            {"requests": pipeline_requests, "history": history_table}
+        ).execute(ctes + "SELECT * FROM RLockedObjects").rows
         assert r_locked == []
         assert schedule_ids(protocol, [request(3, 2, 0, "w", 5)], history) == []
 

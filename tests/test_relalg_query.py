@@ -1,9 +1,9 @@
-"""Query builder, pipelines and the optimizer."""
+"""Query builder and the optimizer."""
 
 import pytest
 
 from repro.relalg.expressions import col, lit
-from repro.relalg.query import Pipeline, Query
+from repro.relalg.query import Query
 from repro.relalg.table import Table
 
 
@@ -185,24 +185,3 @@ class TestOptimizer:
         )
         plan = q.explain(optimize=False)
         assert plan.splitlines()[0].startswith("Filter")
-
-
-class TestPipeline:
-    def test_named_steps(self, requests, history):
-        p = Pipeline()
-        p.add_table("requests", requests, alias="r")
-        p.add(
-            "writes",
-            p.ref("requests").where(col("r.operation") == lit("w")),
-        )
-        out = p.ref("writes", alias="w").select("w.id").execute()
-        assert sorted(out.rows) == [(2,), (4,)]
-
-    def test_missing_step_raises(self):
-        with pytest.raises(KeyError, match="no step"):
-            Pipeline()["nope"]
-
-    def test_contains(self, requests):
-        p = Pipeline()
-        p.add_table("requests", requests)
-        assert "requests" in p and "other" not in p

@@ -93,6 +93,20 @@ class TestJoins:
         )
         assert out.rows == [(4,)]
 
+    def test_left_join_is_null_reduction_keeps_select_aliases(self, db):
+        from repro.relalg.plan import CompiledPlan
+
+        plan = CompiledPlan(
+            SqlPlanner(db).plan(
+                "SELECT DISTINCT p.id AS person FROM people p LEFT JOIN "
+                "depts d ON p.dept = d.dept WHERE d.dept IS NULL",
+                defer_ctes=True,
+            )
+        )
+        assert "AntiJoin" in plan.explain()
+        assert plan.schema.names == ("person",)
+        assert plan.execute().rows == [(4,)]
+
     def test_left_join_subquery(self, db):
         out = sql(
             "SELECT p.id FROM people p LEFT JOIN "
